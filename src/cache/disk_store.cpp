@@ -254,9 +254,14 @@ std::optional<Body> DiskStore::get_body(ObjectId id) {
   return Body::extent(std::make_shared<const FdRef>(fd), sizeof h, h.body_len);
 }
 
-bool DiskStore::put(ObjectId id, std::string_view body, Version version) {
+bool DiskStore::put(ObjectId id, std::string_view body, Version version,
+                    std::optional<std::uint64_t> fill_ticket) {
+  const std::uint64_t ticket = fill_ticket.value_or(erased_.ticket());
   const std::uint64_t file_bytes = sizeof(ObjHeader) + body.size();
   if (file_bytes > opts_.capacity_bytes) return false;
+  // Already cancelled (a queued demotion whose object was erased meanwhile):
+  // skip the write. The check that matters is the one at commit.
+  if (erased_.erased_since(id, ticket)) return false;
 
   ObjHeader h;
   h.magic = kObjMagic;
@@ -282,6 +287,13 @@ bool DiskStore::put(ObjectId id, std::string_view body, Version version) {
   }
 
   std::lock_guard lock(mu_);
+  if (erased_.erased_since(id, ticket)) {
+    // erase(id) ran while the bytes were being written: it wins. The file
+    // now at the path may be these stale bytes, so the object goes entirely.
+    drop_locked(id, /*unlink_file=*/false);
+    ::unlink(path.c_str());
+    return false;
+  }
   auto [it, inserted] = index_.try_emplace(id);
   if (!inserted) used_bytes_ -= it->second.file_bytes;
   it->second.file_bytes = file_bytes;
@@ -299,6 +311,7 @@ bool DiskStore::contains(ObjectId id) const {
 
 bool DiskStore::erase(ObjectId id) {
   std::lock_guard lock(mu_);
+  erased_.note_erase(id);
   if (!index_.contains(id)) return false;
   drop_locked(id, /*unlink_file=*/true);
   return true;
@@ -348,8 +361,10 @@ DiskStoreStats DiskStore::stats() const {
 }
 
 bool DiskStore::put_async(ObjectId id, BodyPtr body, Version version,
-                          std::function<void(bool ok)> done) {
+                          std::function<void(bool ok)> done,
+                          std::optional<std::uint64_t> fill_ticket) {
   if (!body) return false;
+  const std::uint64_t ticket = fill_ticket.value_or(erased_.ticket());
   {
     std::lock_guard lock(queue_mu_);
     if (queue_.size() >= opts_.demote_queue_depth) {
@@ -365,7 +380,8 @@ bool DiskStore::put_async(ObjectId id, BodyPtr body, Version version,
       writer_running_ = true;
       writer_ = std::thread([this] { writer_main(); });
     }
-    queue_.push_back(DemoteJob{id, std::move(body), version, std::move(done)});
+    queue_.push_back(
+        DemoteJob{id, std::move(body), version, std::move(done), ticket});
   }
   queue_cv_.notify_one();
   {
@@ -392,7 +408,7 @@ void DiskStore::writer_main() {
       queue_.pop_front();
       job_inflight_ = true;
     }
-    const bool ok = put(job.id, *job.body, job.version);
+    const bool ok = put(job.id, *job.body, job.version, job.ticket);
     if (job.done) job.done(ok);
     {
       std::lock_guard lock(queue_mu_);

@@ -34,6 +34,13 @@
 // victim unlinks) run under it. The eviction callback is invoked under the
 // mutex — callers must not re-enter the store from it (the proxy only
 // queues a hint invalidation there).
+//
+// erase() wins over every put of the same id that has not committed yet:
+// it stamps an EraseLog (erase_log.h) under the index mutex, and a put —
+// queued, mid-write, or about to commit — whose ticket predates the stamp
+// is dropped (its file unlinked) instead of entering the index. A
+// consistency invalidation therefore cannot be undone by a demotion that
+// was already on its way to disk.
 #pragma once
 
 #include <condition_variable>
@@ -48,6 +55,7 @@
 #include <unordered_map>
 
 #include "cache/body.h"
+#include "cache/erase_log.h"
 #include "common/types.h"
 
 namespace bh::cache {
@@ -106,18 +114,27 @@ class DiskStore {
 
   // Writes (or replaces) the object crash-atomically, then evicts
   // least-recently-accessed entries as needed to fit the budget. Returns
-  // false on I/O failure (the store simply doesn't hold the object) or when
-  // the envelope alone exceeds the budget.
-  bool put(ObjectId id, std::string_view body, Version version = 1);
+  // false on I/O failure (the store simply doesn't hold the object), when
+  // the envelope alone exceeds the budget, or when erase(id) ran after
+  // `fill_ticket` (from ticket(); defaults to one taken on entry).
+  bool put(ObjectId id, std::string_view body, Version version = 1,
+           std::optional<std::uint64_t> fill_ticket = {});
 
   // Enqueues the object for a background put() on the writer thread, so a
   // burst of RAM evictions never stalls the caller on disk I/O. Returns
   // false (and counts async_dropped) when the bounded queue is full — the
   // demotion is simply skipped. `done(ok)` runs on the writer thread after
   // the synchronous put completes (ok = its return value); it must not
-  // re-enter the store. The writer thread starts lazily on first use.
+  // re-enter the store. The writer thread starts lazily on first use. The
+  // job carries `fill_ticket` (default: one taken here), so an erase(id)
+  // after it cancels the job whether it is still queued or mid-write; it
+  // then completes with ok = false.
   bool put_async(ObjectId id, BodyPtr body, Version version = 1,
-                 std::function<void(bool ok)> done = {});
+                 std::function<void(bool ok)> done = {},
+                 std::optional<std::uint64_t> fill_ticket = {});
+
+  // Ticket for put()/put_async(): take it before the body is fetched.
+  std::uint64_t ticket() const { return erased_.ticket(); }
 
   // Drains the async queue (every accepted job is written) and joins the
   // writer thread. Idempotent; put_async after this restarts the writer.
@@ -136,7 +153,8 @@ class DiskStore {
   // Presence in the index (no file I/O, no recency touch).
   bool contains(ObjectId id) const;
 
-  // Removes the object (consistency invalidation). Returns true if present.
+  // Removes the object (consistency invalidation) and cancels every put of
+  // it still in progress (see the file comment). Returns true if present.
   bool erase(ObjectId id);
 
   std::uint64_t used_bytes() const;
@@ -159,6 +177,7 @@ class DiskStore {
     BodyPtr body;
     Version version = 1;
     std::function<void(bool ok)> done;
+    std::uint64_t ticket = 0;
   };
 
   std::string path_of(ObjectId id) const;
@@ -176,6 +195,7 @@ class DiskStore {
   std::uint64_t used_bytes_ = 0;
   std::uint64_t tick_ = 0;
   DiskStoreStats stats_;
+  EraseLog erased_;  // stamped under mu_
 
   // Async demotion writer. queue_mu_ never nests with mu_: put_async
   // touches only queue_mu_, and the writer thread releases it before

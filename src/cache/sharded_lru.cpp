@@ -47,10 +47,16 @@ bool ShardedLruCache::contains(ObjectId id) const {
 
 ShardedLruCache::InsertOutcome ShardedLruCache::insert(
     ObjectId id, BodyPtr body, Version version, bool pushed,
-    bool replace_existing, const EvictFn& on_evict) {
+    bool replace_existing, const EvictFn& on_evict,
+    std::optional<std::uint64_t> fill_ticket) {
   if (!body) body = std::make_shared<const std::string>();
   Shard& s = *shards_[shard_of(id)];
   std::lock_guard lock(s.mu);
+  // Checked under the lock erase() stamps under: either the erase comes
+  // after this insert and removes it, or the stamp is visible here.
+  if (fill_ticket && erased_.erased_since(id, *fill_ticket)) {
+    return InsertOutcome::kStale;
+  }
   const LruCache::Entry* prev = s.lru.peek(id);
   const bool existed = prev != nullptr;
   if (existed && !replace_existing) return InsertOutcome::kKept;
@@ -82,6 +88,7 @@ ShardedLruCache::InsertOutcome ShardedLruCache::insert(
 bool ShardedLruCache::erase(ObjectId id) {
   Shard& s = *shards_[shard_of(id)];
   std::lock_guard lock(s.mu);
+  erased_.note_erase(id);
   const LruCache::Entry* e = s.lru.peek(id);
   if (e == nullptr) return false;
   total_bytes_.fetch_sub(e->size, std::memory_order_relaxed);

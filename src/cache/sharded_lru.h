@@ -32,6 +32,12 @@
 // reads never see evicted bytes still counted. Lock order note for the
 // proxy: shard lock may be taken before the update-queue lock, never the
 // reverse.
+//
+// Fill guard: erase() stamps the id in an EraseLog (erase_log.h) under the
+// shard lock, and insert() given a ticket from ticket() refuses (kStale)
+// under the same lock when the id was erased after that ticket was taken.
+// A fill that fetched its body before a consistency invalidation therefore
+// can never make the old bytes visible, not even briefly.
 #pragma once
 
 #include <atomic>
@@ -45,6 +51,7 @@
 #include <vector>
 
 #include "cache/body.h"
+#include "cache/erase_log.h"
 #include "cache/lru_cache.h"
 #include "common/hash.h"
 #include "common/types.h"
@@ -63,6 +70,7 @@ class ShardedLruCache {
     kReplaced,  // existing entry's body refreshed (recency promoted)
     kKept,      // existing entry kept untouched (replace_existing = false)
     kRejected,  // larger than the shard budget; nothing evicted
+    kStale,     // erased after the caller's ticket; nothing stored
   };
 
   ShardedLruCache(std::uint64_t capacity_bytes, std::size_t num_shards);
@@ -76,10 +84,13 @@ class ShardedLruCache {
 
   // Inserts or (when replace_existing) refreshes; evicts LRU entries of the
   // same shard as needed. `on_evict` fires under the shard lock for each
-  // victim, never for the inserted/replaced id itself.
+  // victim, never for the inserted/replaced id itself. With a `fill_ticket`
+  // (from ticket(), taken before the body was fetched) the insert is
+  // refused as kStale if erase(id) ran after the ticket.
   InsertOutcome insert(ObjectId id, BodyPtr body, Version version = 1,
                        bool pushed = false, bool replace_existing = true,
-                       const EvictFn& on_evict = {});
+                       const EvictFn& on_evict = {},
+                       std::optional<std::uint64_t> fill_ticket = {});
   // Convenience for owned strings: wraps the body in a fresh shared buffer.
   InsertOutcome insert(ObjectId id, std::string body, Version version = 1,
                        bool pushed = false, bool replace_existing = true,
@@ -88,8 +99,13 @@ class ShardedLruCache {
                   version, pushed, replace_existing, on_evict);
   }
 
-  // Removes an entry (consistency invalidation). Returns true if present.
+  // Removes an entry (consistency invalidation) and stamps the erase log,
+  // present or not, so in-flight fills of `id` come back kStale. Returns
+  // true if the entry was present.
   bool erase(ObjectId id);
+
+  // Fill ticket for insert(): take it before fetching the body.
+  std::uint64_t ticket() const { return erased_.ticket(); }
 
   // Global accounting: lock-free relaxed reads of atomics maintained under
   // the shard locks.
@@ -142,6 +158,7 @@ class ShardedLruCache {
   std::atomic<std::uint64_t> total_bytes_{0};
   std::atomic<std::size_t> total_objects_{0};
   std::atomic<std::uint64_t> evictions_{0};
+  EraseLog erased_;  // stamped under the erased id's shard lock
 };
 
 }  // namespace bh::cache

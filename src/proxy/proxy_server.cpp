@@ -34,6 +34,12 @@ std::size_t effective_partitions(std::uint64_t capacity_bytes,
       std::min<std::uint64_t>(requested, by_budget));
 }
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 ProxyServer::Counters ProxyServer::make_counters(obs::MetricsRegistry& reg) {
@@ -378,9 +384,26 @@ CallOptions ProxyServer::metadata_call_options() {
 // request intake: reactor dispatch + worker pool
 // ---------------------------------------------------------------------------
 
-// Runs on the reactor loop thread with a fully parsed request: enqueue it
-// for the workers and apply backpressure when the queue is full.
+// Runs on the reactor loop thread with a fully parsed request. A GET whose
+// body is in RAM is answered right here: the response joins the pump's
+// batch, so pipelined hits still leave in one gathered write, and the hit
+// never waits on the job queue or a worker. Everything that may block goes
+// to the workers: misses and disk hits, /metrics, updates, pushes,
+// invalidations, and peer probes when a hit would push copies onward
+// (push_to_peers makes blocking PUTs). Enqueueing applies backpressure when
+// the queue is full.
 void ProxyServer::dispatch_request(std::uint64_t token, HttpRequest req) {
+  if (req.method == "GET") {
+    const bool cache_only = req.header("X-No-Forward").has_value();
+    const auto id = object_from_path(req.path());
+    if (id && !(cache_only && push_enabled_)) {
+      if (auto hit = serve_ram_hit(*id, cache_only,
+                                   std::chrono::steady_clock::now())) {
+        http_loop_->respond(token, std::move(*hit));
+        return;
+      }
+    }
+  }
   bool pause = false;
   {
     std::lock_guard lock(pool_mu_);
@@ -453,16 +476,7 @@ HttpResponse ProxyServer::handle(const HttpRequest& req) {
     if (req.path() == "/metrics") {
       return handle_metrics(req);
     }
-    if (req.header("X-No-Forward")) {
-      return handle_get(req);  // peer probe: not a client request, untimed
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    HttpResponse resp = handle_get(req);
-    request_ms_.record(
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    return resp;
+    return handle_get(req);
   }
   HttpResponse resp;
   resp.status = 404;
@@ -476,41 +490,66 @@ HttpResponse ProxyServer::handle(const HttpRequest& req) {
 // always touch different ones)
 // ---------------------------------------------------------------------------
 
-HttpResponse ProxyServer::handle_get(const HttpRequest& req) {
+// 1. Local cache (one shard lock). find() hands back the stored shared
+// buffer, and the response adopts it: the hit's bytes are never copied
+// between the shard and the socket write. A miss counts nothing, so the
+// worker that takes over counts the request once.
+std::optional<HttpResponse> ProxyServer::serve_ram_hit(
+    ObjectId id, bool cache_only, std::chrono::steady_clock::time_point t0) {
+  cache::BodyPtr body = cache_.find(id);
+  if (!body) return std::nullopt;
   HttpResponse resp;
+  resp.body = cache::Body(std::move(body));
+  resp.headers.emplace_back("X-Cache", "HIT");
+  resp.headers.emplace_back("X-Served-By", cfg_.name);
+  if (cache_only) {
+    c_.peer_serves.inc();  // peer probe: not a client request, untimed
+    return resp;
+  }
+  c_.requests.inc();
+  c_.local_hits.inc();
+  request_ms_.record(ms_since(t0));
+  return resp;
+}
+
+HttpResponse ProxyServer::handle_get(const HttpRequest& req) {
+  const auto t0 = std::chrono::steady_clock::now();
   const auto id = object_from_path(req.path());
+  const bool cache_only = req.header("X-No-Forward").has_value();
+  if (id) {
+    if (auto hit = serve_ram_hit(*id, cache_only, t0)) {
+      if (cache_only && push_enabled_ && !stopping_.load()) {
+        // A cousin just fetched from us: let the placement policy pick which
+        // other neighbours to seed (hierarchical push on miss, supplier-
+        // driven, Figure 9; the adaptive policy gates on demand estimates).
+        std::uint16_t requester = 0;
+        if (auto r = req.header("X-Requester-Port")) {
+          requester = parse_port(*r).value_or(0);
+        }
+        push_to_peers(*id, hit->body, requester);
+      }
+      return std::move(*hit);
+    }
+  }
+  HttpResponse resp = handle_ram_miss(req, id, cache_only);
+  if (!cache_only) request_ms_.record(ms_since(t0));
+  return resp;
+}
+
+HttpResponse ProxyServer::handle_ram_miss(const HttpRequest& req,
+                                          std::optional<ObjectId> id,
+                                          bool cache_only) {
+  HttpResponse resp;
   if (!id) {
     resp.status = 404;
     resp.reason = "Not Found";
     return resp;
   }
-  const bool cache_only = req.header("X-No-Forward").has_value();
   if (!cache_only) c_.requests.inc();
+  // Taken before any tier below is read: a fill whose bytes may predate an
+  // invalidate(id) that runs meanwhile is refused when it tries to store.
+  const FillTicket ticket = fill_ticket();
 
-  // 1. Local cache (one shard lock). find() hands back the stored shared
-  // buffer, and the response adopts it: the hit's bytes are never copied
-  // between the shard and the socket write.
-  if (auto body = cache_.find(*id)) {
-    if (cache_only) {
-      c_.peer_serves.inc();
-    } else {
-      c_.local_hits.inc();
-    }
-    resp.body = cache::Body(std::move(body));
-    resp.headers.emplace_back("X-Cache", "HIT");
-    resp.headers.emplace_back("X-Served-By", cfg_.name);
-    if (cache_only && push_enabled_ && !stopping_.load()) {
-      // A cousin just fetched from us: let the placement policy pick which
-      // other neighbours to seed (hierarchical push on miss, supplier-
-      // driven, Figure 9; the adaptive policy gates on demand estimates).
-      std::uint16_t requester = 0;
-      if (auto r = req.header("X-Requester-Port")) {
-        requester = parse_port(*r).value_or(0);
-      }
-      push_to_peers(*id, resp.body, requester);
-    }
-    return resp;
-  }
   // 1b. Disk tier: a RAM miss can still be a node hit. The response carries
   // the file extent itself — the reactor ships it with sendfile(2), so the
   // body never crosses userspace on the serve path. RAM-sized bodies also
@@ -527,11 +566,9 @@ HttpResponse ProxyServer::handle_get(const HttpRequest& req) {
         auto bytes = std::make_shared<std::string>();
         if (body->append_to(*bytes)) {
           store_internal(*id, std::move(bytes), /*replace_existing=*/true,
-                         /*pushed=*/false, /*advertise=*/false);
+                         /*pushed=*/false, /*advertise=*/false, ticket);
           c_.disk_promotions.inc();
-          promote_ms_.record(std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count());
+          promote_ms_.record(ms_since(t0));
         }
       }
       if (cache_only) {
@@ -581,7 +618,7 @@ HttpResponse ProxyServer::handle_get(const HttpRequest& req) {
         // The parsed body arrives as a shared buffer: the cache and the
         // response reference the same bytes, no copy on either side.
         store(*id, peer_resp->body.shared(), /*replace_existing=*/true,
-              /*pushed=*/false);
+              /*pushed=*/false, ticket);
         resp.body = std::move(peer_resp->body);
         resp.headers.emplace_back("X-Cache", "SIBLING");
         resp.headers.emplace_back("X-Served-By", cfg_.name);
@@ -625,32 +662,35 @@ HttpResponse ProxyServer::handle_get(const HttpRequest& req) {
   }
   c_.origin_fetches.inc();
   store(*id, origin_resp->body.shared(), /*replace_existing=*/true,
-        /*pushed=*/false);
+        /*pushed=*/false, ticket);
   resp.body = std::move(origin_resp->body);
   resp.headers.emplace_back("X-Cache", "MISS");
   resp.headers.emplace_back("X-Served-By", cfg_.name);
   return resp;
 }
 
+ProxyServer::FillTicket ProxyServer::fill_ticket() const {
+  return FillTicket{cache_.ticket(), disk_ ? disk_->ticket() : 0};
+}
+
 void ProxyServer::store(ObjectId id, cache::BodyPtr body,
-                        bool replace_existing, bool pushed) {
+                        bool replace_existing, bool pushed,
+                        FillTicket ticket) {
   store_internal(id, std::move(body), replace_existing, pushed,
-                 /*advertise=*/true);
+                 /*advertise=*/true, ticket);
 }
 
 void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
                                  bool replace_existing, bool pushed,
-                                 bool advertise) {
+                                 bool advertise, FillTicket ticket) {
   if (!body) body = std::make_shared<const std::string>();
 
   // Objects too large for any RAM shard go straight to the disk tier (an
   // insert would come back kRejected and the body would be lost).
   if (disk_ && body->size() > cache_.max_object_bytes()) {
     const auto t0 = std::chrono::steady_clock::now();
-    const bool ok = disk_->put(id, *body);
-    demote_ms_.record(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
+    const bool ok = disk_->put(id, *body, /*version=*/1, ticket.disk);
+    demote_ms_.record(ms_since(t0));
     if (ok && advertise) {
       std::lock_guard lock(queue_mu_);
       queue_update_locked(proto::Action::kInform, id, self(), MachineId{0});
@@ -662,32 +702,41 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
   // lock — the one sanctioned nesting (shard before queue, never reverse).
   // With a disk tier, victims are only collected there: their bodies are
   // handed off after the shard lock is released, so disk I/O never
-  // serializes the shard.
-  std::vector<std::pair<cache::LruCache::Entry, cache::BodyPtr>> demote;
+  // serializes the shard. Each victim's disk ticket is read under the shard
+  // lock, before any invalidate(victim) can erase it, so an invalidation
+  // that lands before the demotion commits still cancels it.
+  struct Demotion {
+    cache::LruCache::Entry victim;
+    cache::BodyPtr body;
+    std::uint64_t disk_ticket;
+  };
+  std::vector<Demotion> demote;
   const auto outcome = cache_.insert(
       id, std::move(body), /*version=*/1, pushed, replace_existing,
       [this, &demote](const cache::LruCache::Entry& victim,
                       cache::BodyPtr victim_body) {
         if (disk_) {
-          demote.emplace_back(victim, std::move(victim_body));
+          demote.push_back({victim, std::move(victim_body), disk_->ticket()});
           return;
         }
         std::lock_guard lock(queue_mu_);
         queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
                             MachineId{0});
-      });
+      },
+      ticket.ram);
   if (outcome == cache::ShardedLruCache::InsertOutcome::kInserted &&
       advertise) {
     std::lock_guard lock(queue_mu_);
     queue_update_locked(proto::Action::kInform, id, self(), MachineId{0});
   }
-  for (auto& [victim, victim_body] : demote) {
-    demote_to_disk(victim, std::move(victim_body));
+  for (Demotion& d : demote) {
+    demote_to_disk(d.victim, std::move(d.body), d.disk_ticket);
   }
 }
 
 void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
-                                 cache::BodyPtr body) {
+                                 cache::BodyPtr body,
+                                 std::uint64_t disk_ticket) {
   if (cfg_.disk_demote_async) {
     // Hand the victim to the background demotion writer: the worker that
     // triggered the eviction returns immediately instead of blocking on a
@@ -697,10 +746,9 @@ void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
     const auto t0 = std::chrono::steady_clock::now();
     const ObjectId id = victim.id;
     const bool queued = disk_->put_async(
-        victim.id, std::move(body), victim.version, [this, id, t0](bool ok) {
-          demote_ms_.record(std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
+        victim.id, std::move(body), victim.version,
+        [this, id, t0](bool ok) {
+          demote_ms_.record(ms_since(t0));
           if (ok) {
             c_.disk_demotions.inc();
             return;
@@ -708,7 +756,8 @@ void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
           std::lock_guard lock(queue_mu_);
           queue_update_locked(proto::Action::kInvalidate, id, self(),
                               MachineId{0});
-        });
+        },
+        disk_ticket);
     if (!queued) {
       // Queue full (or stopped): the demotion is shed and the object has
       // left the node — say so now rather than after a blocking write.
@@ -720,10 +769,8 @@ void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const bool ok = disk_->put(victim.id, *body, victim.version);
-  demote_ms_.record(std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
+  const bool ok = disk_->put(victim.id, *body, victim.version, disk_ticket);
+  demote_ms_.record(ms_since(t0));
   if (ok) {
     // The node still holds the object (one tier down): hints stay valid,
     // nothing is advertised.
@@ -838,7 +885,7 @@ HttpResponse ProxyServer::handle_push(const HttpRequest& req) {
   // A push never displaces an existing copy's recency semantics: if we
   // already cache the object, keep ours (replace_existing = false).
   store(*id, std::make_shared<const std::string>(req.body),
-        /*replace_existing=*/false, /*pushed=*/true);
+        /*replace_existing=*/false, /*pushed=*/true, fill_ticket());
   // The supplier names every other daemon it pushed the same copy to:
   // seed a hint for the nearest sibling copy immediately instead of
   // waiting a hint-batch round trip. A malformed header is ignored (the
@@ -1109,7 +1156,9 @@ void ProxyServer::flush_hints() {
 
 void ProxyServer::invalidate(ObjectId id) {
   // Both tiers drop the copy; either one having held it means peers may
-  // hold a hint worth retracting.
+  // hold a hint worth retracting. Each erase also stamps its tier's erase
+  // log, so fills and demotions of `id` already under way cannot store the
+  // old bytes afterwards (see FillTicket).
   const bool had_ram = cache_.erase(id);
   const bool had_disk = disk_ && disk_->erase(id);
   if (had_ram || had_disk) {

@@ -17,12 +17,18 @@
 //     accept, incremental parsing, and gathered response writes, with
 //     HTTP/1.0 keep-alive so one client connection can carry many requests
 //     (see reactor.h, io_backend.h). The loop never blocks on a socket;
-//   - each fully parsed request is handed to a fixed pool of `workers`
-//     threads through a bounded job queue (when it fills, the loop pauses
-//     accepting and backpressure falls back to the kernel listen backlog);
-//     workers run the cache/hint/outbound logic — everything that may block
-//     — and post the response back to the loop. stop() joins the loop and
-//     the pool, so in-flight handlers never outlive the daemon;
+//   - a GET whose body is in the RAM cache is served on the loop thread as
+//     soon as it is parsed (one shard lock, atomic counters, one histogram
+//     sample): the common case never crosses a thread, and its response
+//     joins the loop's coalesced write for the batch;
+//   - every other request — misses, disk hits, /metrics, updates, pushes,
+//     invalidations, and peer probes whose hit would push copies onward —
+//     goes to a fixed pool of `workers` threads through a bounded job queue
+//     (when it fills, the loop pauses accepting and backpressure falls back
+//     to the kernel listen backlog; RAM hits never enter the queue, so it
+//     bounds only this blocking work). Workers run everything that may
+//     block and post the response back to the loop. stop() joins the loop
+//     and the pool, so in-flight handlers never outlive the daemon;
 //   - outbound probes, origin fetches, and metadata POSTs go through a
 //     bounded per-peer pool of persistent connections (conn_pool.h), so the
 //     steady state exchanges hints and probes without TCP handshakes;
@@ -34,7 +40,12 @@
 //     list/health under one mutex, the outbound update queue + relay
 //     seen-set under another. Lock order: a cache-shard lock may be taken
 //     before the queue lock (eviction callbacks queue invalidations);
-//     every other pair of locks is never nested.
+//     every other pair of locks is never nested;
+//   - a fill takes a FillTicket before it reads any tier; invalidate()
+//     stamps both tiers' erase logs, and the store is refused under the
+//     shard lock (and the disk index lock) if the object was invalidated
+//     after the ticket, so a fill or demotion already under way can never
+//     bring back bytes older than the invalidation.
 //   - outbound hint batching runs on a dedicated flusher thread with size-
 //     and age-based triggers; queued inform/invalidate pairs for the same
 //     (object, location) retire each other before the batch is built
@@ -155,11 +166,12 @@ struct ProxyConfig {
   // caches degenerate to one shard and behave exactly like a single LRU).
   std::size_t cache_shards = 8;
   std::size_t hint_stripes = 8;
-  // Fixed request-handler pool size (also the concurrent-request bound).
+  // Fixed pool for the requests that may block (everything but RAM hits,
+  // which the reactor thread serves itself).
   std::size_t workers = 8;
-  // Parsed-but-unclaimed requests the daemon buffers; when full, the
-  // reactor pauses accepting and further backpressure is the kernel listen
-  // backlog.
+  // Parsed-but-unclaimed requests bound for the workers that the daemon
+  // buffers; when full, the reactor pauses accepting and further
+  // backpressure is the kernel listen backlog. RAM hits never queue.
   std::size_t accept_queue_capacity = 128;
 
   // --- event-driven I/O ---
@@ -365,11 +377,28 @@ class ProxyServer {
   };
   static Counters make_counters(obs::MetricsRegistry& reg);
 
+  // Erase-log tickets of both tiers, taken before a fill reads any tier;
+  // store() refuses the body if invalidate(id) ran after them.
+  struct FillTicket {
+    std::uint64_t ram = 0;
+    std::uint64_t disk = 0;
+  };
+  FillTicket fill_ticket() const;
+
   void worker_loop();
   void flusher_loop();
   void dispatch_request(std::uint64_t token, HttpRequest req);
   HttpResponse handle(const HttpRequest& req);
+  // The one RAM-hit path, called on the loop thread by dispatch_request and
+  // on a worker by handle_get: a hit's response with its counters, headers
+  // and (client GETs) its request_ms sample measured from `t0`; nullopt on a
+  // miss, with nothing counted.
+  std::optional<HttpResponse> serve_ram_hit(
+      ObjectId id, bool cache_only, std::chrono::steady_clock::time_point t0);
   HttpResponse handle_get(const HttpRequest& req);
+  // Steps 1b-4 of a GET once RAM missed: disk, hinted peer, origin.
+  HttpResponse handle_ram_miss(const HttpRequest& req,
+                               std::optional<ObjectId> id, bool cache_only);
   HttpResponse handle_updates(const HttpRequest& req);
   HttpResponse handle_push(const HttpRequest& req);
   HttpResponse handle_metrics(const HttpRequest& req);
@@ -389,16 +418,18 @@ class ProxyServer {
   // The body is a shared buffer: storing a fetched response keeps the same
   // bytes the response will transmit, no copy.
   void store(ObjectId id, cache::BodyPtr body, bool replace_existing,
-             bool pushed);
+             bool pushed, FillTicket ticket);
   // `advertise = false` suppresses the inform: promotions bring back an
   // object the node never stopped holding, so peers learned nothing new.
   void store_internal(ObjectId id, cache::BodyPtr body, bool replace_existing,
-                      bool pushed, bool advertise);
+                      bool pushed, bool advertise, FillTicket ticket);
   // Hands the victim to the disk tier — through the async writer when
-  // configured, else synchronously. If the demotion is shed or the write
-  // fails, the object has left the node, so the hint invalidation is queued.
+  // configured, else synchronously — carrying the disk ticket read when it
+  // was evicted. If the demotion is shed, cancelled by an invalidation, or
+  // the write fails, the object has left the node, so the hint invalidation
+  // is queued.
   void demote_to_disk(const cache::LruCache::Entry& victim,
-                      cache::BodyPtr body);
+                      cache::BodyPtr body, std::uint64_t disk_ticket);
   void load_hint_image();
 
   // Update queue + seen-set, guarded by queue_mu_.

@@ -16,17 +16,20 @@
 //     backend's listener registration; bytes arrive via the backend's
 //     stream callbacks (an accept4/recv loop on epoll, multishot
 //     completions on io_uring).
-//   - Everything that can block — shard lookups that contend, hint ops,
-//     outbound peer probes, origin fetches — runs on the caller's worker
-//     pool, NOT here. The loop's contract is: parse, dispatch, write,
-//     never wait on anything but the backend.
+//   - The loop's contract is: parse, dispatch, write, never wait on
+//     anything but the backend. A dispatch may answer inline when the work
+//     is short and never blocks — the proxy serves RAM cache hits this way
+//     (one shard lock, atomic counters, a histogram sample). Everything
+//     that can block — disk reads, hint batches, outbound peer probes,
+//     origin fetches — runs on the caller's worker pool, NOT here.
 //
 // Request flow: bytes arrive -> parser.feed -> each complete request is
 // dispatched immediately with its own request token (parse-ahead: pipelined
-// requests are all in flight at once, up to a cap) -> workers call
-// respond(token, response) from any thread -> responses are sequenced back
-// into request order on the loop thread, coalesced into one gathered
-// sendmsg covering as many queued responses as fit.
+// requests are all in flight at once, up to a cap) -> the dispatch itself
+// (inline) or a worker (from any thread) calls respond(token, response) ->
+// responses are sequenced back into request order on the loop thread,
+// coalesced into one gathered sendmsg covering as many queued responses as
+// fit (inline responses to one parsed batch share a single flush).
 //
 // Keep-alive: HTTP/1.0 semantics — close by default, held open when the
 // request carries "Connection: keep-alive" (the response echoes the

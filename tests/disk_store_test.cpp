@@ -7,8 +7,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,7 +288,9 @@ TEST(DiskStoreTest, AsyncDemotionBurstDrainsCompletely) {
 }
 
 TEST(DiskStoreTest, AsyncQueueOverflowShedsAndCounts) {
-  DiskStore::Options o = opts_for(fresh_root("async_shed"));
+  // Room for all 64 bodies, so a fast writer that accepts many jobs never
+  // evicts one and the count below stays exact.
+  DiskStore::Options o = opts_for(fresh_root("async_shed"), 8 << 20);
   o.demote_queue_depth = 1;  // every concurrent second job overflows
   DiskStore store(o);
 
@@ -304,6 +310,94 @@ TEST(DiskStoreTest, AsyncQueueOverflowShedsAndCounts) {
   EXPECT_EQ(store.stats().async_queued, static_cast<std::uint64_t>(accepted));
   // Shed demotions are simply absent; accepted ones all landed.
   EXPECT_EQ(store.object_count(), static_cast<std::size_t>(accepted));
+}
+
+// Holds the async writer inside atomic_write_file for `path` until
+// release(): the test can act while a demotion is provably mid-write.
+class WriteGate {
+ public:
+  explicit WriteGate(std::string path) {
+    set_atomic_write_fault([this, path = std::move(path)](const std::string& p)
+                               -> std::optional<std::size_t> {
+      if (p != path) return std::nullopt;
+      std::unique_lock lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+      return std::nullopt;  // then write normally
+    });
+  }
+  ~WriteGate() {
+    release();
+    set_atomic_write_fault(nullptr);
+  }
+  void wait_entered() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+std::string object_file(const std::string& root, std::uint64_t id) {
+  char name[40];
+  std::snprintf(name, sizeof name, "/%02llx/%016llx.obj",
+                static_cast<unsigned long long>(id & 0xff),
+                static_cast<unsigned long long>(id));
+  return root + name;
+}
+
+TEST(DiskStoreTest, AsyncEraseCancelsQueuedDemotion) {
+  const std::string root = fresh_root("async_erase_queued");
+  DiskStore store(opts_for(root));
+  WriteGate gate(object_file(root, 99));
+  // The writer is held on object 99, so object 1's demotion stays queued.
+  ASSERT_TRUE(store.put_async(ObjectId{99},
+                              std::make_shared<const std::string>("x")));
+  gate.wait_entered();
+  std::atomic<int> outcome{-1};
+  ASSERT_TRUE(store.put_async(
+      ObjectId{1}, std::make_shared<const std::string>(body_of(1, 64)), 1,
+      [&outcome](bool ok) { outcome = ok ? 1 : 0; }));
+  EXPECT_FALSE(store.erase(ObjectId{1}));  // not on disk yet
+  gate.release();
+  store.drain_async();
+  EXPECT_FALSE(store.contains(ObjectId{1}));
+  EXPECT_FALSE(store.get(ObjectId{1}).has_value());
+  EXPECT_EQ(outcome.load(), 0);
+  EXPECT_TRUE(store.contains(ObjectId{99}));
+}
+
+TEST(DiskStoreTest, AsyncEraseCancelsInFlightDemotion) {
+  const std::string root = fresh_root("async_erase_inflight");
+  DiskStore store(opts_for(root));
+  WriteGate gate(object_file(root, 1));
+  std::atomic<int> outcome{-1};
+  ASSERT_TRUE(store.put_async(
+      ObjectId{1}, std::make_shared<const std::string>(body_of(1, 64)), 1,
+      [&outcome](bool ok) { outcome = ok ? 1 : 0; }));
+  gate.wait_entered();  // the writer is mid-write
+  EXPECT_FALSE(store.erase(ObjectId{1}));
+  gate.release();
+  store.drain_async();
+  EXPECT_FALSE(store.contains(ObjectId{1}));
+  EXPECT_FALSE(store.get(ObjectId{1}).has_value());
+  EXPECT_EQ(outcome.load(), 0);
+  EXPECT_NE(::access(object_file(root, 1).c_str(), F_OK), 0);  // no file left
+  // A demotion that starts after the erase lands normally.
+  ASSERT_TRUE(store.put_async(ObjectId{1},
+                              std::make_shared<const std::string>("new")));
+  store.drain_async();
+  EXPECT_EQ(store.get(ObjectId{1}).value_or(""), "new");
 }
 
 TEST(DiskStoreTest, StopAsyncDrainsThenRestartsLazily) {

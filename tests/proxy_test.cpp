@@ -951,6 +951,136 @@ TEST(FaultPathTest, StopJoinsInFlightHandlers) {
   client.join();
 }
 
+// --- the inline RAM-hit path and the fill guard ---
+
+// Waits (bounded) until `done()` holds; false on timeout.
+template <typename Pred>
+bool wait_until(Pred done, double seconds = 5.0) {
+  const auto start = std::chrono::steady_clock::now();
+  while (!done()) {
+    if (seconds_since(start) > seconds) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ProxyInlineHitTest, RamHitDoesNotWaitForBusyWorker) {
+  // RAM hits are served on the reactor thread: with the only worker held
+  // on a slow origin fetch, a hit on another connection answers at once.
+  FaultInjector injector(3);  // outlives the daemon whose workers read it
+  OriginServer origin;
+  ProxyConfig cfg;
+  cfg.origin_port = origin.port();
+  cfg.workers = 1;
+  ProxyServer proxy(cfg);
+  const ObjectId hot{91};
+  const ObjectId cold{92};
+  ASSERT_EQ(fetch(proxy.port(), hot, 128).cache, "MISS");
+
+  constexpr double kHold = 1.0;
+  injector.add_rule(
+      {FaultOp::kRecv, FaultKind::kDelay, origin.port(), 1.0, 1, kHold});
+  ScopedFaultInjection active(injector);
+  const auto miss_start = std::chrono::steady_clock::now();
+  FetchResult slow;
+  std::thread miss([&] { slow = fetch(proxy.port(), cold, 128); });
+  ASSERT_TRUE(wait_until([&] { return injector.injections() >= 1; }));
+
+  const auto start = std::chrono::steady_clock::now();
+  const FetchResult hit = fetch(proxy.port(), hot, 128);
+  const double elapsed = seconds_since(start);
+  const double miss_held = seconds_since(miss_start);
+  miss.join();
+  EXPECT_EQ(hit.cache, "HIT");
+  EXPECT_EQ(hit.body, origin_body(hot, 1, 128));
+  EXPECT_LT(elapsed, kHold / 2);
+  EXPECT_LT(miss_held, kHold);  // the hit returned before the hold ended
+  EXPECT_EQ(slow.cache, "MISS");
+  EXPECT_EQ(slow.body, origin_body(cold, 1, 128));
+}
+
+TEST(ProxyInlineHitTest, CountersMoveOncePerRequest) {
+  // The inline path and the worker path share one RAM-hit helper: a hit
+  // counts once, and a miss (looked up on the loop, then again on the
+  // worker) counts once too.
+  OriginServer origin;
+  ProxyConfig cfg;
+  cfg.origin_port = origin.port();
+  ProxyServer proxy(cfg);
+  const auto request_ms_count = [&proxy] {
+    const obs::MetricsSnapshot snap = proxy.metrics_snapshot();
+    const LatencyHistogram* h = snap.histogram("bh.proxy.request_ms");
+    return h == nullptr ? std::uint64_t{0} : h->count();
+  };
+  const ObjectId id{93};
+
+  ProxyStats before = proxy.stats();
+  std::uint64_t samples = request_ms_count();
+  ASSERT_EQ(fetch(proxy.port(), id, 64).cache, "MISS");
+  ProxyStats after = proxy.stats();
+  EXPECT_EQ(after.requests - before.requests, 1u);
+  EXPECT_EQ(after.local_hits - before.local_hits, 0u);
+  EXPECT_EQ(after.origin_fetches - before.origin_fetches, 1u);
+  EXPECT_EQ(request_ms_count() - samples, 1u);
+
+  before = after;
+  samples = request_ms_count();
+  ASSERT_EQ(fetch(proxy.port(), id, 64).cache, "HIT");
+  after = proxy.stats();
+  EXPECT_EQ(after.requests - before.requests, 1u);
+  EXPECT_EQ(after.local_hits - before.local_hits, 1u);
+  EXPECT_EQ(request_ms_count() - samples, 1u);
+
+  // A peer probe hit is served and counted as a peer serve, untimed.
+  before = after;
+  samples = request_ms_count();
+  HttpRequest probe;
+  probe.method = "GET";
+  probe.target = object_path(id, 64);
+  probe.headers.emplace_back("X-No-Forward", "1");
+  const auto resp = http_call(proxy.port(), probe);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 200);
+  EXPECT_EQ(resp->header("X-Cache").value_or(""), "HIT");
+  after = proxy.stats();
+  EXPECT_EQ(after.requests - before.requests, 0u);
+  EXPECT_EQ(after.peer_serves - before.peer_serves, 1u);
+  EXPECT_EQ(request_ms_count() - samples, 0u);
+}
+
+TEST(ProxyStaleFillTest, InvalidationDuringFillIsNotCached) {
+  // A fill that fetched version 1 is held in flight while the origin
+  // modifies the object and invalidates the proxy. The held response may
+  // still carry version 1 (it raced the modify), but the cache must not
+  // keep it: the next GET sees version 2.
+  FaultInjector injector(5);  // outlives the daemon whose workers read it
+  OriginServer origin;
+  ProxyConfig cfg;
+  cfg.origin_port = origin.port();
+  cfg.register_with_origin = true;
+  ProxyServer proxy(cfg);
+  const ObjectId id{94};
+  const std::uint64_t served = origin.requests_served();
+
+  injector.add_rule(
+      {FaultOp::kRecv, FaultKind::kDelay, origin.port(), 1.0, 1, 0.5});
+  ScopedFaultInjection active(injector);
+  FetchResult during;
+  std::thread fill([&] { during = fetch(proxy.port(), id, 128); });
+  // The origin has produced version 1 and the proxy's read of it is held.
+  ASSERT_TRUE(wait_until([&] {
+    return injector.injections() >= 1 && origin.requests_served() > served;
+  }));
+  origin.modify(id);  // returns once the proxy has invalidated
+  fill.join();
+  EXPECT_EQ(during.status, 200);
+  EXPECT_EQ(during.body, origin_body(id, 1, 128));
+
+  const FetchResult after = fetch(proxy.port(), id, 128);
+  EXPECT_EQ(after.cache, "MISS");
+  EXPECT_EQ(after.body, origin_body(id, 2, 128));
+}
+
 TEST(ProxyServerTest, FlusherSendsOnSizeTrigger) {
   OriginServer origin;
   ProxyConfig ca;

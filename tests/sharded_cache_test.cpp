@@ -103,6 +103,23 @@ TEST(ShardedLruCacheTest, InsertOutcomesFollowReplacePolicy) {
   EXPECT_EQ(c.object_count(), 1u);
 }
 
+TEST(ShardedLruCacheTest, FillTicketRefusesInsertAfterErase) {
+  ShardedLruCache c(kUnlimitedBytes, 4);
+  const ObjectId id{42};
+  const std::uint64_t ticket = c.ticket();  // the fill starts
+  EXPECT_FALSE(c.erase(id));  // invalidated while absent: still stamped
+  EXPECT_EQ(c.insert(id, std::make_shared<const std::string>("old"), 1,
+                     false, true, {}, ticket),
+            ShardedLruCache::InsertOutcome::kStale);
+  EXPECT_FALSE(c.contains(id));
+  EXPECT_EQ(c.object_count(), 0u);
+  // A fill that began after the erase stores normally.
+  EXPECT_EQ(c.insert(id, std::make_shared<const std::string>("new"), 1,
+                     false, true, {}, c.ticket()),
+            ShardedLruCache::InsertOutcome::kInserted);
+  EXPECT_EQ(*c.find(id), "new");
+}
+
 TEST(ShardedLruCacheTest, ObjectLargerThanShardBudgetIsRejected) {
   ShardedLruCache c(800, 4);  // 200 bytes of budget per shard
   ASSERT_EQ(c.insert(ObjectId{1}, std::string(100, 'x')),

@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -79,7 +80,13 @@ struct ExtentFixture {
   static std::optional<ExtentFixture> create(const std::string& name,
                                              const std::string& bytes) {
     ExtentFixture fx;
-    fx.path = ::testing::TempDir() + "/bh_zc_" + name;
+    // One file per test, parameter included: ctest runs the backend
+    // variants as parallel processes, and one must not truncate the file
+    // the other is still sending.
+    std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(test.begin(), test.end(), '/', '_');
+    fx.path = ::testing::TempDir() + "/bh_zc_" + name + "_" + test;
     const int wfd =
         ::open(fx.path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
     if (wfd < 0) return std::nullopt;
