@@ -10,8 +10,11 @@
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "hints/hint_cache.h"
+#include "hints/metadata_hierarchy.h"
+#include "net/topology.h"
 #include "proto/wire.h"
 #include "sim/event_queue.h"
+#include "trace/workload.h"
 
 using namespace bh;
 
@@ -54,6 +57,88 @@ void BM_HintCacheInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HintCacheInsert);
+
+// The unbounded store behind the "infinite hint cache" runs, churned the way
+// the metadata hierarchy churns a leaf: over 64K object ids, half lookups, a
+// quarter inserts (new hint or moved hint) and a quarter erases.
+void BM_UnboundedHintStoreChurn(benchmark::State& state) {
+  constexpr std::size_t kIds = 64 << 10;
+  hints::UnboundedHintStore store;
+  Rng rng(5);
+  std::vector<ObjectId> ids;
+  for (std::size_t i = 0; i < kIds; ++i) ids.push_back(ObjectId{rng.next_u64()});
+  for (std::size_t i = 0; i < kIds; i += 2) {
+    store.insert(ids[i], hints::machine_of_node(static_cast<NodeIndex>(i % 64)));
+  }
+  // A precomputed op stream, so the loop times the store, not the RNG.
+  std::vector<std::uint32_t> ops(kIds);
+  for (auto& op : ops) op = static_cast<std::uint32_t>(rng.next_u64());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint32_t op = ops[i];
+    const ObjectId id = ids[op % kIds];
+    switch (op >> 30) {
+      case 0:
+        store.insert(id, hints::machine_of_node(op % 64));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(store.erase(id));
+        break;
+      default:
+        benchmark::DoNotOptimize(store.lookup(id));
+        break;
+    }
+    i = (i + 1) % kIds;
+  }
+  state.counters["entries"] = static_cast<double>(store.entry_count());
+}
+BENCHMARK(BM_UnboundedHintStoreChurn);
+
+// The simulator's hint layer end to end: inform/invalidate against the
+// metadata hierarchy on the DEC trace's 66-leaf topology with zero hop delay,
+// so every L2/root update and leaf hint change runs inline. 16K copies are
+// live at random (leaf, object) places among 16K objects; each iteration
+// invalidates the oldest and informs a new one, so the state is the same
+// from the first iteration to the last. "msgs/op" is the metadata fan-out
+// per iteration.
+void BM_MetadataInformInvalidate(benchmark::State& state) {
+  const trace::WorkloadParams dec = trace::dec_workload();
+  const net::HierarchyTopology topo(dec.num_l1(), dec.l1_per_l2,
+                                    dec.clients_per_l1);
+  sim::EventQueue queue;
+  hints::MetadataHierarchy meta(topo, hints::MetadataConfig{}, queue);
+  constexpr std::uint32_t kObjects = 16 << 10;
+  constexpr std::size_t kLive = 16 << 10;
+  Rng rng(9);
+  std::vector<ObjectId> ids;
+  for (std::uint32_t o = 0; o < kObjects; ++o) ids.push_back(ObjectId{rng.next_u64()});
+  // Copy places as leaf * kObjects + object; a place holds at most one copy.
+  std::vector<std::uint8_t> has_copy(std::size_t{topo.num_l1()} * kObjects, 0);
+  auto place_copy = [&] {
+    std::size_t place = 0;
+    do {
+      place = rng.next_below(has_copy.size());
+    } while (has_copy[place] != 0);
+    has_copy[place] = 1;
+    meta.inform(static_cast<NodeIndex>(place / kObjects), ids[place % kObjects]);
+    return place;
+  };
+  std::vector<std::size_t> live(kLive);
+  for (auto& place : live) place = place_copy();
+  const std::uint64_t warm_messages = meta.total_messages();
+  std::size_t oldest = 0;
+  for (auto _ : state) {
+    const std::size_t place = live[oldest];
+    has_copy[place] = 0;
+    meta.invalidate(static_cast<NodeIndex>(place / kObjects), ids[place % kObjects]);
+    live[oldest] = place_copy();
+    oldest = (oldest + 1) % kLive;
+  }
+  state.counters["msgs/op"] = benchmark::Counter(
+      static_cast<double>(meta.total_messages() - warm_messages),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MetadataInformInvalidate);
 
 // One received update batch applied to the striped store: per-id
 // lookup+insert takes two stripe-lock acquisitions per update, apply_batch

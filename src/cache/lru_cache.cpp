@@ -45,29 +45,29 @@ void LruCache::move_to_front(std::uint32_t i) {
 }
 
 LruCache::Entry* LruCache::find(ObjectId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return nullptr;
-  move_to_front(it->second);
-  return &slab_[it->second].entry;
+  const std::uint32_t* slot = index_.find(id.value);
+  if (slot == nullptr) return nullptr;
+  move_to_front(*slot);
+  return &slab_[*slot].entry;
 }
 
 const LruCache::Entry* LruCache::peek(ObjectId id) const {
-  auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &slab_[it->second].entry;
+  const std::uint32_t* slot = index_.find(id.value);
+  return slot == nullptr ? nullptr : &slab_[*slot].entry;
 }
 
 LruCache::Entry* LruCache::peek_mut(ObjectId id) {
-  auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &slab_[it->second].entry;
+  const std::uint32_t* slot = index_.find(id.value);
+  return slot == nullptr ? nullptr : &slab_[*slot].entry;
 }
 
 bool LruCache::insert(ObjectId id, std::uint64_t size, Version version,
                       bool pushed, const EvictFn& on_evict) {
   if (!unlimited() && size > capacity_bytes_) return false;
 
-  const auto [it, inserted] = index_.try_emplace(id, kNil);
-  if (!inserted) {
-    Entry& e = slab_[it->second].entry;
+  if (const std::uint32_t* slot = index_.find(id.value)) {
+    const std::uint32_t i = *slot;
+    Entry& e = slab_[i].entry;
     used_bytes_ -= e.size;
     e.size = size;
     e.version = version;
@@ -78,38 +78,38 @@ bool LruCache::insert(ObjectId id, std::uint64_t size, Version version,
       e.used_since_push = false;
     }
     used_bytes_ += size;
-    move_to_front(it->second);
+    move_to_front(i);
     evict_to_fit(0, on_evict);
     return true;
   }
 
+  // The id is absent while eviction runs, so the new entry can never evict
+  // itself; it is indexed only once eviction (which erases index entries)
+  // is done.
   evict_to_fit(size, on_evict);
   const std::uint32_t i = alloc_node();
   slab_[i].entry = Entry{id, size, version, pushed, false};
   link_front(i);
-  // evict_to_fit may have rehashed nothing (it only erases), so `it` is still
-  // valid; the slab slot is assigned after eviction so the new entry can
-  // never evict itself.
-  it->second = i;
+  index_.try_emplace(id.value, i);
   used_bytes_ += size;
   return true;
 }
 
 bool LruCache::erase(ObjectId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  const std::uint32_t i = it->second;
+  const std::uint32_t* slot = index_.find(id.value);
+  if (slot == nullptr) return false;
+  const std::uint32_t i = *slot;
   used_bytes_ -= slab_[i].entry.size;
   unlink(i);
   free_.push_back(i);
-  index_.erase(it);
+  index_.erase(id.value);
   return true;
 }
 
 void LruCache::age(ObjectId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  const std::uint32_t i = it->second;
+  const std::uint32_t* slot = index_.find(id.value);
+  if (slot == nullptr) return;
+  const std::uint32_t i = *slot;
   if (tail_ == i) return;
   unlink(i);
   // Link at the tail: least recently used, evicted first.
@@ -127,7 +127,7 @@ void LruCache::evict_to_fit(std::uint64_t incoming, const EvictFn& on_evict) {
     const std::uint32_t victim_slot = tail_;
     const Entry victim = slab_[victim_slot].entry;
     used_bytes_ -= victim.size;
-    index_.erase(victim.id);
+    index_.erase(victim.id.value);
     unlink(victim_slot);
     free_.push_back(victim_slot);
     if (on_evict) on_evict(victim);

@@ -9,17 +9,17 @@
 //
 // Hot-path layout: entries live in a slab (vector of nodes threaded into an
 // intrusive doubly-linked recency list by index) instead of a std::list, so
-// insert/erase recycle slab slots rather than allocating list nodes, and
-// find/insert each do exactly one hash lookup. Entry pointers returned by
-// find/peek are invalidated by the next insert (the slab may grow); callers
-// use them immediately, never across mutations.
+// insert/erase recycle slab slots rather than allocating list nodes. The
+// id -> slot index is a flat open-addressing table (common/flat_map.h).
+// Entry pointers returned by find/peek are invalidated by the next insert
+// (the slab may grow); callers use them immediately, never across mutations.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace bh::cache {
@@ -49,7 +49,7 @@ class LruCache {
   // entry (push-use accounting) without promoting it in the local LRU order.
   Entry* peek_mut(ObjectId id);
 
-  bool contains(ObjectId id) const { return index_.contains(id); }
+  bool contains(ObjectId id) const { return index_.contains(id.value); }
 
   // Inserts or replaces; evicts LRU entries as needed to fit. Objects larger
   // than the whole capacity are not cached at all. The new entry is
@@ -99,7 +99,7 @@ class LruCache {
   std::vector<std::uint32_t> free_;  // recycled slab slots
   std::uint32_t head_ = kNil;        // most recently used
   std::uint32_t tail_ = kNil;        // least recently used
-  std::unordered_map<ObjectId, std::uint32_t> index_;
+  FlatMap<std::uint32_t> index_;  // id -> slab slot
 };
 
 }  // namespace bh::cache

@@ -221,22 +221,22 @@ void AssociativeHintCache::restore(const std::string& path) {
 }
 
 std::optional<MachineId> UnboundedHintStore::lookup(ObjectId id) {
-  auto it = map_.find(id.value);
-  if (it == map_.end()) return std::nullopt;
-  return MachineId{it->second};
+  const std::uint64_t* loc = map_.find(id.value);
+  if (loc == nullptr) return std::nullopt;
+  return MachineId{*loc};
 }
 
 void UnboundedHintStore::insert(ObjectId id, MachineId loc) {
   map_[id.value] = loc.value;
 }
 
-bool UnboundedHintStore::erase(ObjectId id) { return map_.erase(id.value) > 0; }
+bool UnboundedHintStore::erase(ObjectId id) { return map_.erase(id.value); }
 
 void UnboundedHintStore::for_each(
     const std::function<void(ObjectId, MachineId)>& fn) const {
-  for (const auto& [key, loc] : map_) {
+  map_.for_each([&](std::uint64_t key, std::uint64_t loc) {
     fn(ObjectId{key}, MachineId{loc});
-  }
+  });
 }
 
 StripedHintStore::StripedHintStore(std::uint64_t capacity_bytes,

@@ -9,7 +9,9 @@
 // least recently touched record (the prototype's "preferentially cache
 // recently updated entries" mechanism).
 //
-// UnboundedHintStore backs the "infinite hint cache" points of Figures 5/6.
+// UnboundedHintStore backs the "infinite hint cache" points of Figures 5/6;
+// it is a flat open-addressing table (common/flat_map.h), since every L1 in
+// the simulated hierarchy holds one and hint churn is the replay hot path.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +21,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "hints/hint_record.h"
 #include "obs/metrics.h"
@@ -150,7 +152,7 @@ class UnboundedHintStore final : public HintStore {
       const std::function<void(ObjectId, MachineId)>& fn) const override;
 
  private:
-  std::unordered_map<std::uint64_t, std::uint64_t> map_;
+  FlatMap<std::uint64_t> map_;  // object id -> MachineId value
 };
 
 // Lock-striped thread-safe front over N sub-stores: the stripe for an object

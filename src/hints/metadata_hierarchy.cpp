@@ -65,51 +65,54 @@ void MetadataHierarchy::invalidate_object(ObjectId id) {
       observer_(leaf, id, kInvalidNode);
     }
   }
-  for (auto& state : l2_state_) state.erase(id);
-  root_state_.erase(id);
+  for (auto& state : l2_state_) state.erase(id.value);
+  root_state_.erase(id.value);
 }
 
 // ---------------------------------------------------------------------------
 // L2 metadata nodes
 // ---------------------------------------------------------------------------
 
-NodeIndex MetadataHierarchy::l2_representative(const InternalEntry& e,
-                                               std::uint32_t l2) const {
-  (void)l2;
+NodeIndex MetadataHierarchy::l2_representative(const InternalEntry& e) {
   const NodeIndex slot = e.children.first();
   if (slot == kInvalidNode) return kInvalidNode;
   if (static_cast<std::size_t>(slot) < e.reps.size()) return e.reps[slot];
   return kInvalidNode;
 }
 
+// Each handler below finishes with its own entry before its first send():
+// a zero-delay send runs the next handler synchronously, and that handler
+// may insert into or erase from any InternalState, moving entries.
+
 void MetadataHierarchy::l2_child_inform(std::uint32_t l2, NodeIndex leaf,
                                         ObjectId id) {
-  InternalEntry& e = l2_state_[l2][id];
+  InternalEntry& e = l2_state_[l2][id.value];
   const std::uint32_t slot = leaf % topo_.l1_per_l2();
   const bool was_empty = e.children.empty();
   e.children.insert(slot);
   if (e.reps.empty()) e.reps.assign(topo_.l1_per_l2(), kInvalidNode);
   e.reps[slot] = leaf;
   if (!was_empty) return;  // second copy in the subtree: not distributed
+  const bool known_outside = e.external != kInvalidNode;
 
-  // Tell children that do not themselves hold copies about the new copy.
+  // The first copy in this subtree: no other child holds one, so every other
+  // child learns of it.
   const std::uint32_t base = l2 * topo_.l1_per_l2();
   const std::uint32_t end = std::min(base + topo_.l1_per_l2(), topo_.num_l1());
   for (std::uint32_t c = base; c < end; ++c) {
     if (c == leaf) continue;
-    if (e.children.contains(c % topo_.l1_per_l2())) continue;
     send(1, [this, c, leaf, id](SimTime) { leaf_learn(c, leaf, id); });
   }
 
-  // First copy in this subtree and nothing known outside it: propagate up.
-  if (e.external == kInvalidNode) {
+  // Nothing known outside the subtree either: propagate up.
+  if (!known_outside) {
     send(1, [this, l2, leaf, id](SimTime) { root_child_inform(l2, leaf, id); });
   }
 }
 
 void MetadataHierarchy::l2_parent_inform(std::uint32_t l2, NodeIndex loc,
                                          ObjectId id) {
-  InternalEntry& e = l2_state_[l2][id];
+  InternalEntry& e = l2_state_[l2][id.value];
   if (e.external != kInvalidNode) return;  // equally distant; keep the old one
   e.external = loc;
   if (!e.children.empty()) return;  // children already have a nearer copy
@@ -122,17 +125,16 @@ void MetadataHierarchy::l2_parent_inform(std::uint32_t l2, NodeIndex loc,
 
 void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
                                         ObjectId id) {
-  auto it = l2_state_[l2].find(id);
-  if (it == l2_state_[l2].end()) return;  // stale remove (object invalidated)
-  InternalEntry& e = it->second;
+  InternalEntry* e = l2_state_[l2].find(id.value);
+  if (e == nullptr) return;  // stale remove (object invalidated)
   const std::uint32_t slot = leaf % topo_.l1_per_l2();
-  if (!e.children.contains(slot)) return;
-  e.children.erase(slot);
-  if (!e.reps.empty()) e.reps[slot] = kInvalidNode;
+  if (!e->children.contains(slot)) return;
+  e->children.erase(slot);
+  if (!e->reps.empty()) e->reps[slot] = kInvalidNode;
+  const bool last_copy = e->children.empty();
 
   // Advertise the non-presence with the next best location, if any.
-  const NodeIndex next =
-      !e.children.empty() ? l2_representative(e, l2) : e.external;
+  const NodeIndex next = last_copy ? e->external : l2_representative(*e);
   const std::uint32_t base = l2 * topo_.l1_per_l2();
   const std::uint32_t end = std::min(base + topo_.l1_per_l2(), topo_.num_l1());
   for (std::uint32_t c = base; c < end; ++c) {
@@ -143,17 +145,14 @@ void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
     });
   }
 
-  if (e.children.empty()) {
+  if (last_copy) {
     send(1, [this, l2, leaf, id](SimTime) { root_child_remove(l2, leaf, id); });
-    if (e.empty()) l2_state_[l2].erase(it);
+    // Looked up again: the send may have run the root's handlers already.
+    InternalState& state = l2_state_[l2];
+    if (const InternalEntry* now = state.find(id.value); now && now->empty()) {
+      state.erase(id.value);
+    }
   }
-}
-
-void MetadataHierarchy::l2_parent_remove(std::uint32_t l2, ObjectId id) {
-  // Covered by the (gone, next) correction path in root_child_remove; kept
-  // for interface symmetry.
-  (void)l2;
-  (void)id;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,16 +162,16 @@ void MetadataHierarchy::l2_parent_remove(std::uint32_t l2, ObjectId id) {
 void MetadataHierarchy::root_child_inform(std::uint32_t l2, NodeIndex loc,
                                           ObjectId id) {
   ++root_updates_;
-  InternalEntry& e = root_state_[id];
+  InternalEntry& e = root_state_[id.value];
   const bool was_empty = e.children.empty();
   e.children.insert(l2);
   if (e.reps.empty()) e.reps.assign(topo_.num_l2(), kInvalidNode);
   e.reps[l2] = loc;
   if (!was_empty) return;
 
+  // The first group with a copy: no other group holds one.
   for (std::uint32_t g = 0; g < topo_.num_l2(); ++g) {
     if (g == l2) continue;
-    if (e.children.contains(g)) continue;
     send(1, [this, g, loc, id](SimTime) { l2_parent_inform(g, loc, id); });
   }
 }
@@ -180,28 +179,28 @@ void MetadataHierarchy::root_child_inform(std::uint32_t l2, NodeIndex loc,
 void MetadataHierarchy::root_child_remove(std::uint32_t l2, NodeIndex gone,
                                           ObjectId id) {
   ++root_updates_;
-  auto it = root_state_.find(id);
-  if (it == root_state_.end()) return;
-  InternalEntry& e = it->second;
-  e.children.erase(l2);
-  if (!e.reps.empty()) e.reps[l2] = kInvalidNode;
+  InternalEntry* e = root_state_.find(id.value);
+  if (e == nullptr) return;
+  e->children.erase(l2);
+  if (!e->reps.empty()) e->reps[l2] = kInvalidNode;
 
   NodeIndex next = kInvalidNode;
-  if (const NodeIndex slot = e.children.first(); slot != kInvalidNode) {
-    next = e.reps[static_cast<std::size_t>(slot)];
+  if (const NodeIndex slot = e->children.first(); slot != kInvalidNode) {
+    next = e->reps[static_cast<std::size_t>(slot)];
   }
+  const NodeSet holders = e->children;
 
   // Groups without local copies may hold hints pointing at the vanished
   // leaf; send them the correction.
   for (std::uint32_t g = 0; g < topo_.num_l2(); ++g) {
-    if (e.children.contains(g)) continue;
+    if (holders.contains(g)) continue;
     send(1, [this, g, gone, next, id](SimTime) {
       // The group's external pointer and its leaves' hints are corrected.
-      auto git = l2_state_[g].find(id);
-      if (git != l2_state_[g].end() && git->second.external == gone) {
-        git->second.external = next;
-      } else if (git == l2_state_[g].end() && next != kInvalidNode) {
-        l2_state_[g][id].external = next;
+      InternalState& state = l2_state_[g];
+      if (InternalEntry* ge = state.find(id.value)) {
+        if (ge->external == gone) ge->external = next;
+      } else if (next != kInvalidNode) {
+        state[id.value].external = next;
       }
       const std::uint32_t base = g * topo_.l1_per_l2();
       const std::uint32_t end =
@@ -215,7 +214,10 @@ void MetadataHierarchy::root_child_remove(std::uint32_t l2, NodeIndex gone,
     });
   }
 
-  if (e.empty()) root_state_.erase(it);
+  // Looked up again: the sends may have run other handlers already.
+  if (const InternalEntry* now = root_state_.find(id.value); now && now->empty()) {
+    root_state_.erase(id.value);
+  }
 }
 
 // ---------------------------------------------------------------------------

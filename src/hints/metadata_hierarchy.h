@@ -20,9 +20,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/node_set.h"
 #include "common/types.h"
 #include "hints/hint_cache.h"
@@ -99,9 +99,13 @@ class MetadataHierarchy {
 
     bool empty() const { return children.empty() && external == kInvalidNode; }
   };
-  using InternalState = std::unordered_map<ObjectId, InternalEntry>;
+  // Keyed by ObjectId::value. Entries move on insert and erase (flat_map.h),
+  // so no handler holds an InternalEntry reference across send().
+  using InternalState = FlatMap<InternalEntry>;
 
-  // Runs `fn` now (zero delay) or after `hops` metadata hops.
+  // Runs `fn` now (zero delay) or after `hops` metadata hops. With zero
+  // delay the next handler runs inside this call and may insert into or
+  // erase from any InternalState.
   template <typename Fn>
   void send(int hops, Fn&& fn);
 
@@ -109,14 +113,13 @@ class MetadataHierarchy {
   void l2_child_inform(std::uint32_t l2, NodeIndex leaf, ObjectId id);
   void l2_parent_inform(std::uint32_t l2, NodeIndex loc, ObjectId id);
   void l2_child_remove(std::uint32_t l2, NodeIndex leaf, ObjectId id);
-  void l2_parent_remove(std::uint32_t l2, ObjectId id);
   void root_child_inform(std::uint32_t l2, NodeIndex loc, ObjectId id);
   void root_child_remove(std::uint32_t l2, NodeIndex gone, ObjectId id);
   void leaf_learn(NodeIndex leaf, NodeIndex loc, ObjectId id);
   void leaf_forget(NodeIndex leaf, NodeIndex loc, ObjectId id);
 
   // First leaf with a copy in the L2 group, or kInvalidNode.
-  NodeIndex l2_representative(const InternalEntry& e, std::uint32_t l2) const;
+  static NodeIndex l2_representative(const InternalEntry& e);
 
   net::HierarchyTopology topo_;
   MetadataConfig cfg_;

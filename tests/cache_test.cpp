@@ -1,10 +1,13 @@
 // Tests for the LRU object cache and the miss classifier.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <vector>
 
 #include "cache/lru_cache.h"
 #include "cache/miss_class.h"
+#include "common/rng.h"
 
 namespace bh::cache {
 namespace {
@@ -275,6 +278,163 @@ TEST_P(LruCachePropertyTest, UsageNeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, LruCachePropertyTest,
                          ::testing::Values(500, 1000, 5000, 50000));
+
+// Reference LRU: a std::list in recency order (front = most recent) plus a
+// std::map index, written straight from LruCache's documented contract.
+class ModelLru {
+ public:
+  using Entry = LruCache::Entry;
+
+  explicit ModelLru(std::uint64_t capacity) : capacity_(capacity) {}
+
+  bool insert(ObjectId id, std::uint64_t size, Version version, bool pushed,
+              std::vector<Entry>& evicted) {
+    if (size > capacity_) return false;
+    if (auto it = index_.find(id.value); it != index_.end()) {
+      Entry& e = *it->second;
+      used_ += size - e.size;
+      e.size = size;
+      e.version = version;
+      if (!pushed) {
+        e.pushed = false;
+        e.used_since_push = false;
+      }
+      order_.splice(order_.begin(), order_, it->second);
+      evict_to(capacity_, evicted);
+      return true;
+    }
+    evict_to(capacity_ - size, evicted);
+    order_.push_front(Entry{id, size, version, pushed, false});
+    index_[id.value] = order_.begin();
+    used_ += size;
+    return true;
+  }
+
+  Entry* find(ObjectId id) {
+    auto it = index_.find(id.value);
+    if (it == index_.end()) return nullptr;
+    order_.splice(order_.begin(), order_, it->second);
+    return &*it->second;
+  }
+
+  Entry* peek(ObjectId id) {
+    auto it = index_.find(id.value);
+    return it == index_.end() ? nullptr : &*it->second;
+  }
+
+  bool erase(ObjectId id) {
+    auto it = index_.find(id.value);
+    if (it == index_.end()) return false;
+    used_ -= it->second->size;
+    order_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+
+  void age(ObjectId id) {
+    auto it = index_.find(id.value);
+    if (it != index_.end()) order_.splice(order_.end(), order_, it->second);
+  }
+
+  std::uint64_t used_bytes() const { return used_; }
+  const std::list<Entry>& order() const { return order_; }
+
+ private:
+  void evict_to(std::uint64_t limit, std::vector<Entry>& evicted) {
+    while (!order_.empty() && used_ > limit) {
+      const Entry victim = order_.back();
+      order_.pop_back();
+      index_.erase(victim.id.value);
+      used_ -= victim.size;
+      evicted.push_back(victim);
+    }
+  }
+
+  std::uint64_t capacity_;
+  std::uint64_t used_ = 0;
+  std::list<Entry> order_;
+  std::map<std::uint64_t, std::list<Entry>::iterator> index_;
+};
+
+bool same_entry(const LruCache::Entry& a, const LruCache::Entry& b) {
+  return a.id == b.id && a.size == b.size && a.version == b.version &&
+         a.pushed == b.pushed && a.used_since_push == b.used_since_push;
+}
+
+// Random insert (new, replace, push-over-demand, oversized), find, peek with
+// push-use tagging, erase and age, against the reference model: identical
+// return values, eviction callback sequences (every field of every victim),
+// used_bytes(), and full recency order after every operation.
+TEST(LruCacheTest, MatchesReferenceModelOnRandomStreams) {
+  for (const std::uint64_t cap : {600ULL, 2000ULL, 20000ULL}) {
+    LruCache c(cap);
+    ModelLru model(cap);
+    Rng rng(cap);
+    std::size_t total_evicted = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const ObjectId id{rng.next_below(120) + 1};
+      const std::uint64_t size = rng.next_below(16) == 0
+                                     ? cap + 1 + rng.next_below(100)  // oversized
+                                     : 1 + rng.next_below(cap / 8);
+      const Version version = rng.next_below(5);
+      const bool pushed = rng.next_below(3) == 0;
+      switch (rng.next_below(6)) {
+        case 0:
+        case 1: {
+          std::vector<LruCache::Entry> got;
+          std::vector<LruCache::Entry> want;
+          const bool stored = c.insert(
+              id, size, version, pushed,
+              [&](const LruCache::Entry& e) { got.push_back(e); });
+          ASSERT_EQ(stored, model.insert(id, size, version, pushed, want));
+          ASSERT_EQ(got.size(), want.size()) << "step " << step;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(same_entry(got[i], want[i])) << "step " << step;
+          }
+          total_evicted += got.size();
+          break;
+        }
+        case 2: {
+          const LruCache::Entry* got = c.find(id);
+          const LruCache::Entry* want = model.find(id);
+          ASSERT_EQ(got != nullptr, want != nullptr);
+          if (got != nullptr) {
+            ASSERT_TRUE(same_entry(*got, *want));
+          }
+          break;
+        }
+        case 3: {
+          // A remote read of a pushed copy tags it without promoting it.
+          LruCache::Entry* got = c.peek_mut(id);
+          LruCache::Entry* want = model.peek(id);
+          ASSERT_EQ(got != nullptr, want != nullptr);
+          if (got != nullptr && got->pushed) {
+            got->used_since_push = true;
+            want->used_since_push = true;
+          }
+          break;
+        }
+        case 4:
+          ASSERT_EQ(c.erase(id), model.erase(id));
+          break;
+        case 5:
+          c.age(id);
+          model.age(id);
+          break;
+      }
+      ASSERT_EQ(c.used_bytes(), model.used_bytes());
+      ASSERT_EQ(c.object_count(), model.order().size());
+      auto want = model.order().begin();
+      c.for_each([&](const LruCache::Entry& e) {
+        ASSERT_NE(want, model.order().end());
+        ASSERT_TRUE(same_entry(e, *want)) << "step " << step;
+        ++want;
+      });
+      ASSERT_EQ(want, model.order().end());
+    }
+    EXPECT_GT(total_evicted, 100u) << "capacity " << cap;
+  }
+}
 
 // --- MissClassifier ---
 

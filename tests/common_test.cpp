@@ -1,13 +1,15 @@
-// Tests for bh::common — MD5, hashing, RNG, Zipf sampling, node sets, and
-// table formatting.
+// Tests for bh::common — MD5, hashing, RNG, Zipf sampling, node sets, the
+// flat hash map, and table formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/md5.h"
 #include "common/node_set.h"
@@ -114,6 +116,190 @@ TEST(HashTest, Mix64IsBijectiveOnSample) {
   std::set<std::uint64_t> outs;
   for (std::uint64_t i = 0; i < 10000; ++i) outs.insert(mix64(i));
   EXPECT_EQ(outs.size(), 10000u);
+}
+
+// --- FlatMap (model-checked against std::unordered_map) ---
+
+// Asserts that `m` holds exactly the entries of `ref`: same size, every
+// reference entry found with an equal value, and for_each visiting each
+// stored key once with its value.
+template <typename V>
+void expect_same(const FlatMap<V>& m,
+                 const std::unordered_map<std::uint64_t, V>& ref) {
+  ASSERT_EQ(m.size(), ref.size());
+  for (const auto& [key, value] : ref) {
+    const V* got = m.find(key);
+    ASSERT_NE(got, nullptr) << "key " << key;
+    ASSERT_EQ(*got, value) << "key " << key;
+  }
+  std::size_t visited = 0;
+  m.for_each([&](std::uint64_t key, const V& value) {
+    ++visited;
+    const auto it = ref.find(key);
+    ASSERT_NE(it, ref.end()) << "stray key " << key;
+    ASSERT_EQ(value, it->second) << "key " << key;
+  });
+  ASSERT_EQ(visited, ref.size());
+}
+
+// The first `n` keys whose mix64 has all of `low_mask`'s bits set: every one
+// of them homes at the last slot of any table no larger than low_mask + 1.
+std::vector<std::uint64_t> keys_homing_at_end(std::size_t n,
+                                              std::uint64_t low_mask) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; keys.size() < n; ++k) {
+    if ((mix64(k) & low_mask) == low_mask) keys.push_back(k);
+  }
+  return keys;
+}
+
+// Random insert/overwrite/find/erase over `keys`, compared with the
+// reference after every operation.
+void run_model(FlatMap<std::uint64_t>& m, const std::vector<std::uint64_t>& keys,
+               std::uint64_t seed, int ops) {
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(seed);
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t key = keys[rng.next_below(keys.size())];
+    const std::uint64_t value = rng.next_u64();
+    switch (rng.next_below(4)) {
+      case 0: {
+        const auto [got, inserted] = m.try_emplace(key, value);
+        const auto [it, ref_inserted] = ref.try_emplace(key, value);
+        ASSERT_EQ(inserted, ref_inserted);
+        ASSERT_EQ(*got, it->second);
+        break;
+      }
+      case 1:
+        m[key] = value;
+        ref[key] = value;
+        break;
+      case 2: {
+        const std::uint64_t* got = m.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end());
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second);
+        }
+        break;
+      }
+      case 3:
+        ASSERT_EQ(m.erase(key), ref.erase(key) > 0);
+        break;
+    }
+    expect_same(m, ref);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(FlatMapTest, CollidingKeysClusterAndWrapAroundTheEnd) {
+  // 400 keys that all home at the last slot of any table up to 1024 slots;
+  // at most 400 are live, so the table never passes 1024 slots and holds one
+  // cluster that starts at its last slot and wraps to the front. Every probe,
+  // insert and backward shift crosses the wrap.
+  const auto keys = keys_homing_at_end(400, 0x3ff);
+  FlatMap<std::uint64_t> m;
+  run_model(m, keys, 1, 20000);
+  EXPECT_GT(m.size(), 100u);
+  EXPECT_LE(m.capacity(), 1024u);
+}
+
+TEST(FlatMapTest, ReservedKeyAndZeroAreOrdinaryKeys) {
+  // The reserved empty-slot key lives in a side slot; it and 0 must behave
+  // like any other key, mixed with ordinary ones through growth.
+  std::vector<std::uint64_t> keys = {FlatMap<std::uint64_t>::kEmptyKey, 0};
+  for (std::uint64_t k = 1; k <= 200; ++k) keys.push_back(k * 0x9e3779b9ULL);
+  FlatMap<std::uint64_t> m;
+  run_model(m, keys, 2, 20000);
+}
+
+TEST(FlatMapTest, EraseInsideClusterShiftsBack) {
+  // A 16-slot table (at most 12 entries before it grows) filled with keys of
+  // two adjacent homes plus a few others, so clusters overlap and wrap.
+  // Erasing the members in many random orders must leave the rest findable:
+  // a shifted entry may never move in front of its home slot.
+  std::vector<std::uint64_t> keys = keys_homing_at_end(5, 0xf);  // home 15
+  for (std::uint64_t k = 0; keys.size() < 9; ++k) {
+    if ((mix64(k) & 0xf) == 14) keys.push_back(k);  // home 14
+  }
+  for (std::uint64_t k = 0; keys.size() < 12; ++k) {
+    if ((mix64(k) & 0xf) == 1) keys.push_back(k);  // home 1, inside the wrap
+  }
+  Rng rng(3);
+  auto shuffle = [&](std::vector<std::uint64_t>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[rng.next_below(i)]);
+    }
+  };
+  for (int round = 0; round < 300; ++round) {
+    FlatMap<std::uint64_t> m;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::vector<std::uint64_t> order = keys;
+    shuffle(order);
+    for (std::uint64_t k : order) {
+      m[k] = k + 1;
+      ref[k] = k + 1;
+    }
+    ASSERT_EQ(m.capacity(), 16u);
+    shuffle(order);
+    for (std::uint64_t k : order) {
+      ASSERT_TRUE(m.erase(k));
+      ASSERT_FALSE(m.erase(k));
+      ref.erase(k);
+      expect_same(m, ref);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FlatMapTest, VectorValuesMoveAcrossGrowth) {
+  // Non-trivial values: growth and backward shift move them, never copy or
+  // drop them.
+  FlatMap<std::vector<int>> m;
+  std::unordered_map<std::uint64_t, std::vector<int>> ref;
+  Rng rng(4);
+  for (int op = 0; op < 8000; ++op) {
+    const std::uint64_t key = rng.next_below(600);
+    switch (rng.next_below(3)) {
+      case 0: {
+        std::vector<int> v(1 + rng.next_below(8), op);
+        const auto [got, inserted] = m.try_emplace(key, v);
+        const auto [it, ref_inserted] = ref.try_emplace(key, std::move(v));
+        ASSERT_EQ(inserted, ref_inserted);
+        ASSERT_EQ(*got, it->second);
+        break;
+      }
+      case 1:
+        m[key].push_back(op);
+        ref[key].push_back(op);
+        break;
+      case 2:
+        ASSERT_EQ(m.erase(key), ref.erase(key) > 0);
+        break;
+    }
+    expect_same(m, ref);
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_GE(m.capacity(), 512u);
+
+  // Each value's heap buffer is the same one after a growth and after a
+  // round of erases: entries were moved, not copied.
+  std::unordered_map<std::uint64_t, const int*> buffers;
+  m.for_each([&](std::uint64_t key, const std::vector<int>& v) {
+    buffers[key] = v.data();
+  });
+  const std::size_t before = m.capacity();
+  for (std::uint64_t fresh = 1000; m.capacity() == before; ++fresh) {
+    m.try_emplace(fresh, std::vector<int>{1});
+  }
+  for (std::uint64_t fresh = 1000; m.contains(fresh); fresh += 2) {
+    m.erase(fresh);
+  }
+  for (const auto& [key, data] : buffers) {
+    ASSERT_NE(m.find(key), nullptr);
+    EXPECT_EQ(m.find(key)->data(), data);
+    EXPECT_EQ(*m.find(key), ref[key]);
+  }
 }
 
 // --- RNG ---

@@ -68,6 +68,84 @@ TEST(ShardedLruCacheTest, SingleShardMatchesPlainLruOnSameTrace) {
   EXPECT_GT(sharded_evicted.size(), 0u) << "trace never exercised eviction";
 }
 
+// The model test for the daemon's cache: with one shard, ShardedLruCache is
+// LruCache plus bodies, so the same random stream of new, replacing,
+// keep-existing, pushed and oversized inserts, finds and erases must give
+// the same outcomes, the same victims (every entry field, with the victim's
+// own body), and the same accounting after every operation.
+TEST(ShardedLruCacheTest, SingleShardMatchesLruCacheModel) {
+  for (const std::uint64_t cap : {1000ULL, 8000ULL}) {
+    ShardedLruCache sharded(cap, 1);
+    LruCache plain(cap);
+    Rng rng(cap + 5);
+    std::uint64_t plain_evictions = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const ObjectId id{rng.next_below(100) + 1};
+      const std::size_t size = rng.next_below(20) == 0
+                                   ? cap + 1 + rng.next_below(50)  // oversized
+                                   : 1 + rng.next_below(cap / 6);
+      const Version version = rng.next_below(4);
+      const bool pushed = rng.next_below(3) == 0;
+      switch (rng.next_below(5)) {
+        case 0:
+        case 1: {
+          const bool replace = rng.next_below(4) != 0;
+          std::vector<LruCache::Entry> got;
+          std::vector<LruCache::Entry> want;
+          const auto outcome = sharded.insert(
+              id, std::make_shared<const std::string>(body_of(id.value, size)),
+              version, pushed, replace, [&](const LruCache::Entry& e, BodyPtr body) {
+                ASSERT_NE(body, nullptr);
+                ASSERT_EQ(*body, body_of(e.id.value, e.size));
+                got.push_back(e);
+              });
+          const bool present = plain.contains(id);
+          if (present && !replace) {
+            ASSERT_EQ(outcome, ShardedLruCache::InsertOutcome::kKept);
+            break;
+          }
+          const bool stored =
+              plain.insert(id, size, version, pushed,
+                           [&](const LruCache::Entry& e) { want.push_back(e); });
+          ASSERT_EQ(outcome,
+                    !stored   ? ShardedLruCache::InsertOutcome::kRejected
+                    : present ? ShardedLruCache::InsertOutcome::kReplaced
+                              : ShardedLruCache::InsertOutcome::kInserted);
+          ASSERT_EQ(got.size(), want.size()) << "step " << step;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].id, want[i].id);
+            ASSERT_EQ(got[i].size, want[i].size);
+            ASSERT_EQ(got[i].version, want[i].version);
+            ASSERT_EQ(got[i].pushed, want[i].pushed);
+            ASSERT_EQ(got[i].used_since_push, want[i].used_since_push);
+          }
+          plain_evictions += want.size();
+          break;
+        }
+        case 2: {
+          const auto body = sharded.find(id);
+          const LruCache::Entry* e = plain.find(id);
+          ASSERT_EQ(body != nullptr, e != nullptr);
+          if (body != nullptr) {
+            ASSERT_EQ(*body, body_of(id.value, e->size));
+          }
+          break;
+        }
+        case 3:
+          ASSERT_EQ(sharded.erase(id), plain.erase(id));
+          break;
+        case 4:
+          ASSERT_EQ(sharded.contains(id), plain.contains(id));
+          break;
+      }
+      ASSERT_EQ(sharded.used_bytes(), plain.used_bytes());
+      ASSERT_EQ(sharded.object_count(), plain.object_count());
+      ASSERT_EQ(sharded.evictions(), plain_evictions);
+    }
+    EXPECT_GT(plain_evictions, 100u) << "capacity " << cap;
+  }
+}
+
 TEST(ShardedLruCacheTest, GlobalAccountingMatchesShardSums) {
   ShardedLruCache c(1 << 20, 8);
   ASSERT_EQ(c.shard_count(), 8u);
