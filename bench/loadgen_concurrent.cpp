@@ -1,19 +1,8 @@
-// Concurrent loadgen comparing the proxy's two in-memory data paths:
+// Live-daemon load generator: real OriginServer and ProxyServer instances
+// over loopback TCP, in one of three modes. Each mode merges its results into
+// its own suite of the bench JSON file.
 //
-//   single_mutex — the pre-PR arrangement: one global std::mutex serializing
-//                  every cache find/insert and hint lookup (what the old
-//                  ProxyServer::mu_ did to every handler thread).
-//   sharded      — the current arrangement: cache::ShardedLruCache (8 lock
-//                  stripes) plus a StripedHintStore (8 stripes).
-//
-// Each client thread runs the same request mix (90% GET with a fetch+store
-// on miss, 10% PUT) over a shared working set, at 1/2/4/8 threads. The
-// throughput gauges and the sharded/single-mutex speedup ratios land in
-// BENCH_core.json under the "loadgen" suite, next to the raw machine shape
-// (bh.loadgen.cores) — the speedup is meaningless without knowing how many
-// cores the run actually had.
-//
-// --keepalive switches to the network mode: a real OriginServer plus a
+// --keepalive runs the network mode: a real OriginServer plus a
 // reactor-mounted ProxyServer, with N client threads fetching one pre-warmed
 // object (a pure local HIT, so connection setup dominates the exchange).
 // The per_request baseline opens a fresh TCP connection per call (the old
@@ -37,9 +26,12 @@
 // tier (file extents via sendfile), recording MB/s per size and in
 // aggregate plus the zero-copy send counters, in the "loadgen_large" suite.
 //
-// Usage: loadgen_concurrent [--json=<path>] [--ops=<per-thread-op-count>]
-//                           [--keepalive] [--restart] [--large]
-//                           [--clients=<n>] [--require-speedup=<x>]
+// The in-process striped-cache vs global-mutex comparison lives in
+// bench/micro_sharded_cache (BM_ShardedFindHit vs BM_GlobalMutexFindHit).
+//
+// Usage: loadgen_concurrent --keepalive|--restart|--large [--json=<path>]
+//                           [--ops=<per-client-op-count>] [--clients=<n>]
+//                           [--require-speedup=<x>]
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,21 +39,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "cache/lru_cache.h"
-#include "cache/sharded_lru.h"
-#include "common/rng.h"
-#include "hints/hint_cache.h"
 #include "lab/openloop.h"
 #include "obs/bench_store.h"
 #include "obs/export.h"
@@ -75,127 +60,6 @@
 using namespace bh;
 
 namespace {
-
-constexpr std::uint64_t kCacheBytes = 8ull << 20;
-constexpr std::uint64_t kHintBytes = 1ull << 20;
-constexpr std::size_t kPartitions = 8;
-constexpr std::uint64_t kWorkingSet = 16384;
-constexpr std::size_t kBodyBytes = 256;
-
-std::string body_of(std::uint64_t id) {
-  return std::string(kBodyBytes, static_cast<char>('a' + id % 26));
-}
-
-// The in-memory portion of a proxy GET/PUT against the old global-mutex
-// data path. The lock spans the whole operation, exactly as ProxyServer's
-// single mu_ used to.
-class MutexPath {
- public:
-  MutexPath()
-      : lru_(kCacheBytes), hints_(hints::make_hint_store(kHintBytes)) {}
-
-  void get(ObjectId id) {
-    std::lock_guard lock(mu_);
-    if (lru_.find(id) != nullptr) {
-      // A hit hands the handler a copy of the body to serve (both the old
-      // and new proxy copy it out; the sharded find() below does the same).
-      std::string body = bodies_.at(id);
-      volatile char c = body[0];
-      (void)c;
-      return;
-    }
-    hints_->lookup(id);  // miss path consults the hint cache...
-    put_locked(id);      // ...then stores the fetched body
-  }
-
-  void put(ObjectId id) {
-    std::lock_guard lock(mu_);
-    put_locked(id);
-  }
-
- private:
-  void put_locked(ObjectId id) {
-    lru_.insert(id, kBodyBytes, 1, false, [this](const cache::LruCache::Entry& e) {
-      bodies_.erase(e.id);
-    });
-    bodies_[id] = body_of(id.value);
-  }
-
-  std::mutex mu_;
-  cache::LruCache lru_;
-  std::unordered_map<ObjectId, std::string> bodies_;
-  std::unique_ptr<hints::HintStore> hints_;
-};
-
-// The same operation mix against the striped structures the proxy mounts now.
-class ShardedPath {
- public:
-  ShardedPath()
-      : cache_(kCacheBytes, kPartitions),
-        hints_(hints::make_striped_hint_store(kHintBytes, kPartitions)) {}
-
-  void get(ObjectId id) {
-    if (const auto body = cache_.find(id)) {
-      volatile char c = (*body)[0];
-      (void)c;
-      return;
-    }
-    hints_->lookup(id);
-    cache_.insert(id, body_of(id.value));
-  }
-
-  void put(ObjectId id) { cache_.insert(id, body_of(id.value)); }
-
- private:
-  cache::ShardedLruCache cache_;
-  std::unique_ptr<hints::HintStore> hints_;
-};
-
-template <typename Path>
-double run_once_ops_per_sec(int threads, std::uint64_t ops_per_thread) {
-  Path path;
-  // Warm the structures so the measured phase is the steady-state mix.
-  Rng warm(7);
-  for (std::uint64_t i = 0; i < kWorkingSet / 2; ++i) {
-    path.put(ObjectId{warm.next_below(kWorkingSet) + 1});
-  }
-
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<std::size_t>(threads));
-  const auto start = std::chrono::steady_clock::now();
-  for (int t = 0; t < threads; ++t) {
-    clients.emplace_back([&path, t, ops_per_thread] {
-      Rng rng(100 + static_cast<std::uint64_t>(t));
-      for (std::uint64_t i = 0; i < ops_per_thread; ++i) {
-        const ObjectId id{rng.next_below(kWorkingSet) + 1};
-        if (rng.bernoulli(0.9)) {
-          path.get(id);
-        } else {
-          path.put(id);
-        }
-      }
-    });
-  }
-  for (std::thread& th : clients) th.join();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return static_cast<double>(ops_per_thread) * threads / elapsed.count();
-}
-
-// Median of five trials: a single short trial is mostly scheduler noise, and
-// taking the max would structurally favor the global-mutex path (its lucky
-// runs are the ones with no futex convoys; its typical runs have them). The
-// median is each path's representative steady-state behavior.
-template <typename Path>
-double run_ops_per_sec(int threads, std::uint64_t ops_per_thread) {
-  std::vector<double> trials;
-  trials.reserve(5);
-  for (int trial = 0; trial < 5; ++trial) {
-    trials.push_back(run_once_ops_per_sec<Path>(threads, ops_per_thread));
-  }
-  std::sort(trials.begin(), trials.end());
-  return trials[trials.size() / 2];
-}
 
 // --- network mode ---
 
@@ -506,7 +370,7 @@ int run_restart_mode(const std::string& json_path) {
     proxy::ProxyServer cold(cfg);
     cold_rps = sweep(cold.port());
     if (cold_rps < 0.0) return 1;
-    demoted = cold.stats().disk_demotions;
+    demoted = cold.metrics_snapshot().counter("bh.proxy.disk.demotions");
     cold.stop();  // clean stop: saves the hint image
   }
   const std::uint64_t cold_origin = origin.requests_served();
@@ -522,7 +386,8 @@ int run_restart_mode(const std::string& json_path) {
       1.0 - static_cast<double>(warm_origin) / kRestartObjects;
   const double cold_hit_ratio =
       1.0 - static_cast<double>(cold_origin) / kRestartObjects;
-  const proxy::ProxyStats ws = warm.stats();
+  const std::uint64_t warm_disk_hits =
+      warm.metrics_snapshot().counter("bh.proxy.disk.hits");
 
   std::printf("restart: %llu objects x %zu bytes, %llu-byte RAM budget\n",
               static_cast<unsigned long long>(kRestartObjects),
@@ -553,7 +418,8 @@ int run_restart_mode(const std::string& json_path) {
   reg.gauge("bh.restart.cold_hit_ratio").set(cold_hit_ratio);
   reg.gauge("bh.restart.warm_hit_ratio").set(warm_hit_ratio);
   reg.gauge("bh.restart.disk_objects").set(static_cast<double>(disk_objects));
-  reg.gauge("bh.restart.warm_disk_hits").set(static_cast<double>(ws.disk_hits));
+  reg.gauge("bh.restart.warm_disk_hits")
+      .set(static_cast<double>(warm_disk_hits));
   reg.gauge("bh.restart.cold_demotions").set(static_cast<double>(demoted));
 
   std::ostringstream suite;
@@ -728,17 +594,18 @@ int run_large_mode(const std::string& json_path) {
 
   // The disk tier must actually be exercising the zero-copy send path —
   // record the counters so the history (and CI) can demand it.
-  const proxy::ProxyStats ds = disk_proxy.stats();
-  const proxy::ProxyStats rs = ram_proxy.stats();
-  reg.counter("bh.proxy.zerocopy_sends").set(ds.zerocopy_sends +
-                                             rs.zerocopy_sends);
-  reg.counter("bh.proxy.bytes_zerocopy").set(ds.zerocopy_bytes +
-                                             rs.zerocopy_bytes);
+  const obs::MetricsSnapshot ds = disk_proxy.metrics_snapshot();
+  const obs::MetricsSnapshot rs = ram_proxy.metrics_snapshot();
+  const std::uint64_t disk_zc_sends = ds.counter("bh.proxy.zerocopy_sends");
+  const std::uint64_t zc_sends =
+      disk_zc_sends + rs.counter("bh.proxy.zerocopy_sends");
+  reg.counter("bh.proxy.zerocopy_sends").set(zc_sends);
+  reg.counter("bh.proxy.bytes_zerocopy")
+      .set(ds.counter("bh.proxy.bytes_zerocopy") +
+           rs.counter("bh.proxy.bytes_zerocopy"));
   std::printf("aggregate: ram %.0f MB/s, disk %.0f MB/s, "
               "%llu zero-copy sends\n",
-              ram_agg, disk_agg,
-              static_cast<unsigned long long>(ds.zerocopy_sends +
-                                              rs.zerocopy_sends));
+              ram_agg, disk_agg, static_cast<unsigned long long>(zc_sends));
 
   std::ostringstream suite;
   suite << "{\"benchmarks\": [], \"metrics\": " << obs::to_json(reg.snapshot())
@@ -749,7 +616,7 @@ int run_large_mode(const std::string& json_path) {
   std::printf("\n[loadgen_large] results merged into %s\n", json_path.c_str());
 
   [[maybe_unused]] int rc = std::system(("rm -rf '" + state + "'").c_str());
-  if (ds.zerocopy_sends == 0) {
+  if (disk_zc_sends == 0) {
     std::fprintf(stderr,
                  "[loadgen_large] disk tier recorded no zero-copy sends\n");
     return 1;
@@ -761,8 +628,10 @@ int run_large_mode(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_core.json";
-  std::uint64_t ops_per_thread = 200000;
-  bool ops_given = false;
+  // Real sockets are slow per op; a modest default also keeps the
+  // per-request baseline from exhausting ephemeral ports with TIME_WAIT
+  // entries.
+  std::uint64_t ops_per_client = 400;
   bool net_mode = false;
   bool restart_mode = false;
   bool large_mode = false;
@@ -773,8 +642,7 @@ int main(int argc, char** argv) {
     if (a.rfind("--json=", 0) == 0) {
       json_path = a.substr(7);
     } else if (a.rfind("--ops=", 0) == 0) {
-      ops_per_thread = std::strtoull(a.c_str() + 6, nullptr, 10);
-      ops_given = true;
+      ops_per_client = std::strtoull(a.c_str() + 6, nullptr, 10);
     } else if (a == "--keepalive") {
       net_mode = true;
     } else if (a == "--restart") {
@@ -798,42 +666,11 @@ int main(int argc, char** argv) {
     return run_large_mode(json_path);
   }
   if (net_mode) {
-    // Real sockets are ~1000x slower per op than the in-memory paths; a
-    // modest default also keeps the per-request baseline from exhausting
-    // ephemeral ports with TIME_WAIT entries.
-    return run_net_mode(json_path, clients, ops_given ? ops_per_thread : 400,
-                        require_speedup);
+    return run_net_mode(json_path, clients, ops_per_client, require_speedup);
   }
-
-  obs::MetricsRegistry reg;
-  obs::record_machine_shape(reg);
-  const unsigned cores = std::thread::hardware_concurrency();
-  reg.gauge("bh.loadgen.ops_per_thread")
-      .set(static_cast<double>(ops_per_thread));
-
-  std::printf("loadgen: %u core(s) detected, %llu ops/thread\n", cores,
-              static_cast<unsigned long long>(ops_per_thread));
-  std::printf("%8s %20s %20s %10s\n", "threads", "single_mutex ops/s",
-              "sharded ops/s", "speedup");
-  for (const int threads : {1, 2, 4, 8}) {
-    const double mutex_ops = run_ops_per_sec<MutexPath>(threads, ops_per_thread);
-    const double sharded_ops =
-        run_ops_per_sec<ShardedPath>(threads, ops_per_thread);
-    const double speedup = sharded_ops / mutex_ops;
-    const std::string t = "t" + std::to_string(threads);
-    reg.gauge("bh.loadgen.single_mutex." + t + ".ops_per_sec").set(mutex_ops);
-    reg.gauge("bh.loadgen.sharded." + t + ".ops_per_sec").set(sharded_ops);
-    reg.gauge("bh.loadgen.speedup." + t).set(speedup);
-    std::printf("%8d %20.0f %20.0f %9.2fx\n", threads, mutex_ops, sharded_ops,
-                speedup);
-  }
-
-  std::ostringstream suite;
-  suite << "{\"benchmarks\": [], \"metrics\": " << obs::to_json(reg.snapshot())
-        << "}";
-  auto suites = obs::load_suites(json_path);
-  suites["loadgen"] = suite.str();
-  obs::write_suites(json_path, suites);
-  std::printf("\n[loadgen] results merged into %s\n", json_path.c_str());
-  return 0;
+  std::fprintf(stderr,
+               "usage: loadgen_concurrent --keepalive|--restart|--large "
+               "[--json=<path>] [--ops=<n>] [--clients=<n>] "
+               "[--require-speedup=<x>]\n");
+  return 2;
 }

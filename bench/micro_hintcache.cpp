@@ -230,23 +230,6 @@ void BM_Md5Url(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5Url);
 
-// The memoized hot path: a Zipf-popular URL set where repeats vastly
-// outnumber first sights, so nearly every call is one FNV hash plus a
-// string compare instead of a full MD5.
-void BM_Md5UrlCached(benchmark::State& state) {
-  UrlDigestCache digests;
-  ZipfSampler zipf(300, 0.9);
-  Rng rng(11);
-  std::vector<std::string> urls;
-  for (int i = 0; i < 300; ++i) {
-    urls.push_back("http://news.example.com/story/" + std::to_string(i));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(digests.object_id(urls[zipf.sample(rng)]));
-  }
-}
-BENCHMARK(BM_Md5UrlCached);
-
 void BM_WireEncodeDecodeBatch(benchmark::State& state) {
   std::vector<proto::HintUpdate> batch;
   for (std::uint64_t i = 1; i <= 64; ++i) {

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "lab/cluster.h"
+#include "obs/metrics.h"
 #include "placement/placement.h"
 #include "proxy/io_backend.h"
 #include "proxy/origin_server.h"
@@ -34,18 +35,16 @@ void print_stats(const std::vector<std::unique_ptr<proxy::ProxyServer>>& ps) {
               "requests", "local", "cache2cache", "origin", "false+",
               "upd sent", "peerfail", "quarskip", "reprobe");
   for (std::size_t i = 0; i < ps.size(); ++i) {
-    const auto s = ps[i]->stats();
+    const obs::MetricsSnapshot s = ps[i]->metrics_snapshot();
+    const auto c = [&s](const char* name) {
+      return (unsigned long long)s.counter(std::string("bh.proxy.") + name);
+    };
     std::printf(
         "proxy-%-3zu %9llu %10llu %12llu %12llu %10llu %12llu %8llu %9llu "
         "%8llu\n",
-        i, (unsigned long long)s.requests, (unsigned long long)s.local_hits,
-        (unsigned long long)s.sibling_hits,
-        (unsigned long long)s.origin_fetches,
-        (unsigned long long)s.false_positives,
-        (unsigned long long)s.updates_sent,
-        (unsigned long long)s.peer_failures,
-        (unsigned long long)s.quarantine_skips,
-        (unsigned long long)s.reprobes);
+        i, c("requests"), c("local_hits"), c("sibling_hits"),
+        c("origin_fetches"), c("false_positives"), c("updates_sent"),
+        c("peer_failures"), c("quarantine_skips"), c("reprobes"));
   }
 }
 
@@ -301,8 +300,9 @@ int main(int argc, char** argv) {
 
   std::uint64_t origin_total = 0, quarantines = 0;
   for (const auto& p : proxies) {
-    origin_total += p->stats().origin_fetches;
-    quarantines += p->stats().quarantines;
+    const obs::MetricsSnapshot s = p->metrics_snapshot();
+    origin_total += s.counter("bh.proxy.origin_fetches");
+    quarantines += s.counter("bh.proxy.quarantines");
   }
   std::printf(
       "\nserved %d requests; the origin saw only %llu fetches (%llu "

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/hash.h"
-
 namespace bh {
 namespace {
 
@@ -156,26 +154,6 @@ ObjectId object_id_from_url(std::string_view url) {
 
 std::uint64_t node_id_from_address(std::string_view address) {
   return low64(Md5::digest(address));
-}
-
-UrlDigestCache::UrlDigestCache(std::size_t slots) {
-  std::size_t n = 1;
-  while (n < slots) n <<= 1;
-  slots_.resize(n);
-  mask_ = n - 1;
-}
-
-ObjectId UrlDigestCache::object_id(std::string_view url) {
-  Slot& slot = slots_[fnv1a64(url) & mask_];
-  if (slot.url == url && !slot.url.empty()) {
-    ++hits_;
-    return slot.id;
-  }
-  ++misses_;
-  const ObjectId id = object_id_from_url(url);
-  slot.url.assign(url);
-  slot.id = id;
-  return id;
 }
 
 }  // namespace bh

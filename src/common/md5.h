@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.h"
 
@@ -50,36 +49,5 @@ ObjectId object_id_from_url(std::string_view url);
 // Low 8 bytes of MD5(address) — the pseudo-random node id used by the Plaxton
 // tree embedding.
 std::uint64_t node_id_from_address(std::string_view address);
-
-// Memoizes object_id_from_url. Request streams are heavily skewed (Zipf), so
-// a proxy digests the same popular URLs over and over; a direct-mapped memo
-// turns the repeat digests into one cheap hash + string compare. Collisions
-// simply overwrite the slot — correctness never depends on a hit because a
-// miss recomputes the full MD5.
-//
-// Not thread-safe: keep one per thread (or behind the owner's existing lock).
-class UrlDigestCache {
- public:
-  // `slots` is rounded up to a power of two; 4096 slots of cached URL
-  // strings cover the popular tail of a Zipf workload in ~a few hundred KB.
-  explicit UrlDigestCache(std::size_t slots = 4096);
-
-  // MD5-derived object id for `url`, served from the memo when possible.
-  ObjectId object_id(std::string_view url);
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  struct Slot {
-    std::string url;   // empty = vacant
-    ObjectId id{0};
-  };
-
-  std::vector<Slot> slots_;
-  std::uint64_t mask_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 }  // namespace bh

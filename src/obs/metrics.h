@@ -2,8 +2,8 @@
 // subsystem (simulation core, hint machinery, proxy daemons, benches).
 //
 // Each layer used to grow its own ad-hoc stats struct (`ExperimentResult`'s
-// flat counters, `ProxyStats`, `HintCacheStats`, ...) with hand-rolled rate
-// helpers and no common export path. The registry gives them one model:
+// flat counters, `HintCacheStats`, ...) with hand-rolled rate helpers and no
+// common export path. The registry gives them one model:
 //
 //   - Counter    monotonically increasing u64, atomic (relaxed) so proxy
 //                hot paths increment without a lock;

@@ -93,12 +93,9 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
       demote_ms_(registry_.histogram("bh.proxy.disk.demote_ms")),
       promote_ms_(registry_.histogram("bh.proxy.disk.promote_ms")) {
   // Resolve the placement policy first: an unknown name throws before any
-  // thread or socket exists. The legacy push_on_peer_fetch switch is an
-  // alias for "push-all" (push to every other neighbour), its old meaning.
+  // thread or socket exists.
   {
-    std::string policy = cfg_.push_policy;
-    if (policy == "none" && cfg_.push_on_peer_fetch) policy = "push-all";
-    push_policy_ = placement::make_policy(policy, cfg_.push_params);
+    push_policy_ = placement::make_policy(cfg_.push_policy, cfg_.push_params);
     push_enabled_ = push_policy_->name() != "none";
     push_rng_ = Rng(mix64(std::hash<std::string>{}(cfg_.name)) ^ 0x9A9A);
   }
@@ -248,52 +245,6 @@ void ProxyServer::stop() {
                  cfg_.name.c_str(), e.what());
   }
   pool_.clear();
-}
-
-ProxyStats ProxyServer::stats() const {
-  // Counters are atomics; no lock needed. Each field is individually
-  // coherent (the view is not a cross-counter atomic cut, same as before:
-  // the old struct copy could also race with in-flight handlers).
-  ProxyStats s;
-  s.requests = c_.requests.value();
-  s.local_hits = c_.local_hits.value();
-  s.sibling_hits = c_.sibling_hits.value();
-  s.origin_fetches = c_.origin_fetches.value();
-  s.false_positives = c_.false_positives.value();
-  s.peer_serves = c_.peer_serves.value();
-  s.peer_rejects = c_.peer_rejects.value();
-  s.updates_sent = c_.updates_sent.value();
-  s.updates_received = c_.updates_received.value();
-  s.update_bytes_sent = c_.update_bytes_sent.value();
-  s.updates_coalesced = c_.updates_coalesced.value();
-  s.flushes = c_.flushes.value();
-  s.pushes_sent = c_.pushes_sent.value();
-  s.pushes_received = c_.pushes_received.value();
-  s.push_bytes_sent = c_.push_bytes_sent.value();
-  s.peer_failures = c_.peer_failures.value();
-  s.origin_failures = c_.origin_failures.value();
-  s.quarantines = c_.quarantines.value();
-  s.quarantine_skips = c_.quarantine_skips.value();
-  s.reprobes = c_.reprobes.value();
-  s.metadata_retries = c_.metadata_retries.value();
-  s.updates_deduped = c_.updates_deduped.value();
-  s.updates_hop_capped = c_.updates_hop_capped.value();
-  s.disk_hits = c_.disk_hits.value();
-  s.disk_misses = c_.disk_misses.value();
-  s.disk_demotions = c_.disk_demotions.value();
-  s.disk_promotions = c_.disk_promotions.value();
-  {
-    std::lock_guard lock(push_mu_);
-    s.pushes_rate_limited = push_policy_->stats().pushes_rate_limited;
-  }
-  if (disk_) {
-    const cache::DiskStoreStats ds = disk_->stats();
-    s.demote_queued = ds.async_queued;
-    s.demote_dropped = ds.async_dropped;
-  }
-  s.zerocopy_sends = http_loop_->zerocopy_sends();
-  s.zerocopy_bytes = http_loop_->zerocopy_bytes();
-  return s;
 }
 
 obs::MetricsSnapshot ProxyServer::metrics_snapshot() const {

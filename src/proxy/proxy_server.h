@@ -124,10 +124,6 @@ struct ProxyConfig {
   // Budget / estimator knobs for the budgeted policies (the adaptive-greedy
   // byte budget runs on the daemon's wall clock).
   placement::PolicyParams push_params;
-  // Legacy switch: push to *every* other neighbour on a peer fetch. Kept as
-  // an alias — it maps to push_policy = "push-all" when push_policy is left
-  // at "none".
-  bool push_on_peer_fetch = false;
 
   // Subscribe to the origin's server-driven invalidation (DELETE callbacks
   // on modify) — the paper's strong-consistency assumption, end-to-end.
@@ -198,8 +194,9 @@ struct ProxyConfig {
   // The flusher thread sends as soon as this many updates are pending...
   std::size_t flush_max_pending = 1024;
   // ...or once the oldest pending update has waited this long. 0 disables
-  // the age trigger (tests and examples drive flush_hints() explicitly; a
-  // deployment would set the prototype's randomized 0-60 s period).
+  // the age trigger (tests and examples drive flush_hints() explicitly).
+  // The bound is fixed: the prototype flushed on a period drawn uniformly
+  // from 0-60 s, and this daemon does not randomize it.
   double flush_interval_seconds = 0.0;
 
   // --- failure budget ---
@@ -227,53 +224,6 @@ struct ProxyConfig {
   // Bounded FIFO of recently seen update keys used to drop duplicate
   // re-advertisements in cyclic topologies.
   std::size_t seen_updates_capacity = 4096;
-};
-
-// Point-in-time view of the daemon's counters. The counters themselves live
-// in the daemon's MetricsRegistry under `bh.proxy.*` (atomic, incremented
-// without taking any lock); this struct is assembled on demand by
-// `stats()` for call sites that want plain numbers, and the full registry —
-// counters, scrape-time gauges, and the request-latency histogram — is
-// served over HTTP by `GET /metrics`.
-struct ProxyStats {
-  std::uint64_t requests = 0;
-  std::uint64_t local_hits = 0;
-  std::uint64_t sibling_hits = 0;
-  std::uint64_t origin_fetches = 0;
-  std::uint64_t false_positives = 0;  // hinted peer replied 404
-  std::uint64_t peer_serves = 0;      // cache-only requests we answered 200
-  std::uint64_t peer_rejects = 0;     // cache-only requests we answered 404
-  std::uint64_t updates_sent = 0;
-  std::uint64_t updates_received = 0;
-  std::uint64_t update_bytes_sent = 0;
-  std::uint64_t updates_coalesced = 0;  // retired pre-send as net no-op pairs
-  std::uint64_t flushes = 0;            // non-empty batch drains
-  std::uint64_t pushes_sent = 0;
-  std::uint64_t pushes_received = 0;
-  std::uint64_t push_bytes_sent = 0;
-  std::uint64_t pushes_rate_limited = 0;  // discarded by the policy's budget
-
-  // Disk-tier counters (all zero when the tier is disabled).
-  std::uint64_t disk_hits = 0;        // misses served from the disk tier
-  std::uint64_t disk_misses = 0;      // RAM misses the disk couldn't cover
-  std::uint64_t disk_demotions = 0;   // RAM evictions written to disk
-  std::uint64_t disk_promotions = 0;  // disk hits copied back into RAM
-  std::uint64_t demote_queued = 0;    // async demotions accepted
-  std::uint64_t demote_dropped = 0;   // async demotions shed (queue full)
-
-  // Zero-copy transmission counters (reactor write path).
-  std::uint64_t zerocopy_sends = 0;  // bodies sent via sendfile / SEND_ZC
-  std::uint64_t zerocopy_bytes = 0;  // body bytes that skipped userspace
-
-  // Failure-path counters.
-  std::uint64_t peer_failures = 0;      // probe died (refused/reset/timeout)
-  std::uint64_t origin_failures = 0;    // origin fetch died or non-200
-  std::uint64_t quarantines = 0;        // transitions into quarantine
-  std::uint64_t quarantine_skips = 0;   // probes skipped: origin-direct path
-  std::uint64_t reprobes = 0;           // probes admitted to a quarantined peer
-  std::uint64_t metadata_retries = 0;   // extra attempts beyond the first
-  std::uint64_t updates_deduped = 0;    // relays dropped by the seen-set
-  std::uint64_t updates_hop_capped = 0; // relays dropped by the hop bound
 };
 
 class ProxyServer {
@@ -304,9 +254,6 @@ class ProxyServer {
   // Strong-consistency invalidation: drop the local copy (if any) and
   // advertise the non-presence.
   void invalidate(ObjectId id);
-
-  // Lock-free snapshot of the hot-path counters (reads the registry atomics).
-  ProxyStats stats() const;
 
   // Full registry snapshot as served by `GET /metrics`: the `bh.proxy.*`
   // counters plus scrape-time gauges (cache bytes/objects — total and per
@@ -351,29 +298,29 @@ class ProxyServer {
     obs::Counter& local_hits;
     obs::Counter& sibling_hits;
     obs::Counter& origin_fetches;
-    obs::Counter& false_positives;
-    obs::Counter& peer_serves;
-    obs::Counter& peer_rejects;
+    obs::Counter& false_positives;     // hinted peer replied 404
+    obs::Counter& peer_serves;         // cache-only requests we answered 200
+    obs::Counter& peer_rejects;        // cache-only requests we answered 404
     obs::Counter& updates_sent;
     obs::Counter& updates_received;
     obs::Counter& update_bytes_sent;
-    obs::Counter& updates_coalesced;
-    obs::Counter& flushes;
+    obs::Counter& updates_coalesced;   // retired pre-send as net no-op pairs
+    obs::Counter& flushes;             // non-empty batch drains
     obs::Counter& pushes_sent;
     obs::Counter& pushes_received;
     obs::Counter& push_bytes_sent;
-    obs::Counter& peer_failures;
-    obs::Counter& origin_failures;
-    obs::Counter& quarantines;
-    obs::Counter& quarantine_skips;
-    obs::Counter& reprobes;
-    obs::Counter& metadata_retries;
-    obs::Counter& updates_deduped;
-    obs::Counter& updates_hop_capped;
-    obs::Counter& disk_hits;
-    obs::Counter& disk_misses;
-    obs::Counter& disk_demotions;
-    obs::Counter& disk_promotions;
+    obs::Counter& peer_failures;       // probe died (refused/reset/timeout)
+    obs::Counter& origin_failures;     // origin fetch died or non-200
+    obs::Counter& quarantines;         // transitions into quarantine
+    obs::Counter& quarantine_skips;    // probes skipped: origin-direct path
+    obs::Counter& reprobes;            // probes admitted to a quarantined peer
+    obs::Counter& metadata_retries;    // extra attempts beyond the first
+    obs::Counter& updates_deduped;     // relays dropped by the seen-set
+    obs::Counter& updates_hop_capped;  // relays dropped by the hop bound
+    obs::Counter& disk_hits;           // RAM misses served from the disk tier
+    obs::Counter& disk_misses;         // RAM misses the disk couldn't cover
+    obs::Counter& disk_demotions;      // RAM evictions written to disk
+    obs::Counter& disk_promotions;     // disk hits copied back into RAM
   };
   static Counters make_counters(obs::MetricsRegistry& reg);
 

@@ -71,39 +71,6 @@ TEST(Md5Test, ObjectIdsDifferAcrossUrls) {
   EXPECT_EQ(a, object_id_from_url("http://example.com/a"));
 }
 
-TEST(UrlDigestCacheTest, AgreesWithUncachedDigest) {
-  UrlDigestCache cache(64);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 500; ++i) {
-      const std::string url = "http://example.com/obj/" + std::to_string(i);
-      EXPECT_EQ(cache.object_id(url), object_id_from_url(url)) << url;
-    }
-  }
-  // 500 URLs over 64 slots: plenty of collision-evictions, yet every answer
-  // above matched the direct digest.
-  EXPECT_GT(cache.misses(), 0u);
-}
-
-TEST(UrlDigestCacheTest, RepeatsHitTheMemo) {
-  UrlDigestCache cache(256);
-  const std::string url = "http://example.com/popular";
-  const ObjectId first = cache.object_id(url);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(cache.object_id(url), first);
-  EXPECT_EQ(cache.hits(), 10u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(UrlDigestCacheTest, EmptyUrlNeverFalselyHits) {
-  UrlDigestCache cache(16);
-  // An empty URL maps to a vacant-looking slot; it must still be served by
-  // recomputation, not a stale id.
-  EXPECT_EQ(cache.object_id(""), object_id_from_url(""));
-  EXPECT_EQ(cache.object_id(""), object_id_from_url(""));
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
 // --- hashing ---
 
 TEST(HashTest, Fnv1aKnownValues) {

@@ -348,5 +348,25 @@ TEST(PushTest, EfficiencyComputation) {
   EXPECT_DOUBLE_EQ(s.efficiency(), 0.25);
 }
 
+// A hint table larger than its RAM budget faults lookups in from disk
+// (Section 3.2.1): the expected fault cost joins the local lookup time.
+TEST(HintDiskCostTest, FullyResidentTableCostsMicroseconds) {
+  HintSystemConfig cfg;
+  cfg.hint_bytes = 1_MB;
+  cfg.hint_memory_bytes = 1_MB;
+  Fixture f(cfg);
+  auto out = f.sys.handle_request(req(1, 0));
+  EXPECT_NEAR(out.latency, 641 + 0.0043, 1e-6);
+}
+
+TEST(HintDiskCostTest, OverflowingTablePaysExpectedFaults) {
+  HintSystemConfig cfg;
+  cfg.hint_bytes = 4_MB;
+  cfg.hint_memory_bytes = 1_MB;  // 75% of lookups fault in from disk
+  Fixture f(cfg);
+  auto out = f.sys.handle_request(req(1, 0));
+  EXPECT_NEAR(out.latency, 641 + 0.0043 + 0.75 * 10.8, 1e-6);
+}
+
 }  // namespace
 }  // namespace bh::core

@@ -125,6 +125,28 @@ FetchResult fetch(std::uint16_t proxy_port, ObjectId id, std::size_t size) {
   return r;
 }
 
+// POSTs `proxy` a one-update batch about `id` at `location`, sent as if
+// from `location` itself — the wire-level way to tell a daemon about an
+// arbitrary (possibly dead) peer.
+void post_update(std::uint16_t proxy_port, proto::Action action, ObjectId id,
+                 std::uint16_t location) {
+  const proto::HintUpdate update{action, id, MachineId{location}};
+  const auto body = proto::encode_body(std::span(&update, 1));
+  HttpRequest post;
+  post.method = "POST";
+  post.target = "/updates";
+  post.headers.emplace_back("X-From", std::to_string(location));
+  post.body.assign(reinterpret_cast<const char*>(body.data()), body.size());
+  auto resp = http_call(proxy_port, post);
+  ASSERT_TRUE(resp.has_value());
+  ASSERT_EQ(resp->status, 200);
+}
+
+// The daemon counter `bh.proxy.<name>`, as `GET /metrics` reports it.
+std::uint64_t counter(const ProxyServer& proxy, const std::string& name) {
+  return proxy.metrics_snapshot().counter("bh.proxy." + name);
+}
+
 TEST(OriginServerTest, ServesDeterministicContent) {
   OriginServer origin;
   HttpRequest req;
@@ -169,10 +191,9 @@ TEST(ProxyServerTest, MissThenLocalHit) {
   EXPECT_EQ(second.body, first.body);
   EXPECT_EQ(origin.requests_served(), 1u);
 
-  const auto s = proxy.stats();
-  EXPECT_EQ(s.requests, 2u);
-  EXPECT_EQ(s.local_hits, 1u);
-  EXPECT_EQ(s.origin_fetches, 1u);
+  EXPECT_EQ(counter(proxy, "requests"), 2u);
+  EXPECT_EQ(counter(proxy, "local_hits"), 1u);
+  EXPECT_EQ(counter(proxy, "origin_fetches"), 1u);
 }
 
 // The full proxy-and-origin data path on each explicitly selected I/O
@@ -229,10 +250,8 @@ TEST(ProxyServerTest, HintEnablesCacheToCacheTransfer) {
   EXPECT_EQ(via_a.body, origin_body(id, 1, 64));
   EXPECT_EQ(origin.requests_served(), 1u);  // the origin was hit exactly once
 
-  const auto sa = a.stats();
-  EXPECT_EQ(sa.sibling_hits, 1u);
-  const auto sb = b.stats();
-  EXPECT_EQ(sb.peer_serves, 1u);
+  EXPECT_EQ(counter(a, "sibling_hits"), 1u);
+  EXPECT_EQ(counter(b, "peer_serves"), 1u);
 }
 
 TEST(ProxyServerTest, FalsePositiveCostsOneProbeThenOrigin) {
@@ -255,10 +274,8 @@ TEST(ProxyServerTest, FalsePositiveCostsOneProbeThenOrigin) {
   auto via_a = fetch(a.port(), id, 64);
   EXPECT_EQ(via_a.status, 200);
   EXPECT_EQ(via_a.cache, "MISS");  // fell through to the origin
-  const auto sa = a.stats();
-  EXPECT_EQ(sa.false_positives, 1u);
-  const auto sb = b.stats();
-  EXPECT_EQ(sb.peer_rejects, 1u);
+  EXPECT_EQ(counter(a, "false_positives"), 1u);
+  EXPECT_EQ(counter(b, "peer_rejects"), 1u);
   // The bogus hint is gone: the next a-side fetch is a plain local hit.
   EXPECT_EQ(fetch(a.port(), id, 64).cache, "HIT");
 }
@@ -285,9 +302,77 @@ TEST(ProxyServerTest, EvictionAdvertisesInvalidation) {
   // so a's fetch goes straight to the origin without probing b.
   auto via_a = fetch(a.port(), first, 100);
   EXPECT_EQ(via_a.cache, "MISS");
-  EXPECT_EQ(a.stats().false_positives, 0u);
+  EXPECT_EQ(counter(a, "false_positives"), 0u);
   // And the hint for `second` still works.
   EXPECT_EQ(fetch(a.port(), second, 100).cache, "SIBLING");
+}
+
+TEST(ProxyServerTest, InvalidateForOtherLocationKeepsHint) {
+  OriginServer origin;
+  ProxyConfig cd;
+  cd.name = "d";
+  cd.origin_port = origin.port();
+  ProxyServer d(cd);
+  ProxyConfig ca;
+  ca.name = "a";
+  ca.origin_port = origin.port();
+  ca.hint_neighbors = {d.port()};
+  ProxyServer a(ca);
+  ProxyConfig cb;
+  cb.name = "b";
+  cb.origin_port = origin.port();
+  ProxyServer b(cb);
+
+  const ObjectId id{23};
+  EXPECT_EQ(fetch(a.port(), id, 64).cache, "MISS");
+  a.flush_hints();  // d hints the object at a
+
+  // An invalidate names the copy that left. One for a copy at b says
+  // nothing about a's copy, so d's hint must survive it.
+  post_update(d.port(), proto::Action::kInvalidate, id, b.port());
+  EXPECT_EQ(counter(d, "updates_received"), 2u);
+  EXPECT_EQ(fetch(d.port(), id, 64).cache, "SIBLING");
+  EXPECT_EQ(origin.requests_served(), 1u);
+}
+
+TEST(ProxyServerTest, DistanceOracleKeepsNearestHint) {
+  OriginServer origin;
+  ProxyConfig ca;
+  ca.name = "a";
+  ca.origin_port = origin.port();
+  ProxyServer a(ca);
+  ProxyConfig cb;
+  cb.name = "b";
+  cb.origin_port = origin.port();
+  ProxyServer b(cb);
+  ProxyConfig cd;
+  cd.name = "d";
+  cd.origin_port = origin.port();
+  const std::uint64_t near = b.port();
+  cd.distance = [near](std::uint64_t machine) {
+    return machine == near ? 1.0 : 10.0;
+  };
+  ProxyServer d(cd);
+  a.add_hint_neighbor(d.port());
+  b.add_hint_neighbor(d.port());
+
+  // Both a and b cache each object and advertise it to d, far copy first
+  // for one object and near copy first for the other. Either way d keeps
+  // the hint to b, the nearer copy.
+  const ObjectId far_first{24}, near_first{25};
+  for (ProxyServer* p : {&a, &b}) {
+    EXPECT_EQ(fetch(p->port(), far_first, 64).cache, "MISS");
+    p->flush_hints();
+  }
+  for (ProxyServer* p : {&b, &a}) {
+    EXPECT_EQ(fetch(p->port(), near_first, 64).cache, "MISS");
+    p->flush_hints();
+  }
+
+  EXPECT_EQ(fetch(d.port(), far_first, 64).cache, "SIBLING");
+  EXPECT_EQ(fetch(d.port(), near_first, 64).cache, "SIBLING");
+  EXPECT_EQ(counter(b, "peer_serves"), 2u);
+  EXPECT_EQ(counter(a, "peer_serves"), 0u);
 }
 
 // --- disk tier: demotion, promotion, restart ---
@@ -314,7 +399,7 @@ TEST(ProxyDiskTierTest, DemotesEvictionsAndServesFromDisk) {
   EXPECT_EQ(fetch(proxy.port(), first, 300).cache, "MISS");
   EXPECT_EQ(fetch(proxy.port(), second, 300).cache, "MISS");  // evicts `first`
   proxy.disk()->drain_async();  // demotion is asynchronous; settle it
-  EXPECT_EQ(proxy.stats().disk_demotions, 1u);
+  EXPECT_EQ(counter(proxy, "disk.demotions"), 1u);
   EXPECT_EQ(proxy.disk()->object_count(), 1u);
 
   // The evicted object comes back from the L2 tier, not the origin.
@@ -323,9 +408,8 @@ TEST(ProxyDiskTierTest, DemotesEvictionsAndServesFromDisk) {
   EXPECT_EQ(back.cache, "DISK");
   EXPECT_EQ(back.body, origin_body(first, 1, 300));
   EXPECT_EQ(origin.requests_served(), 2u);
-  const ProxyStats s = proxy.stats();
-  EXPECT_EQ(s.disk_hits, 1u);
-  EXPECT_EQ(s.disk_promotions, 1u);
+  EXPECT_EQ(counter(proxy, "disk.hits"), 1u);
+  EXPECT_EQ(counter(proxy, "disk.promotions"), 1u);
   // The promotion re-inserted `first` into RAM (demoting `second`), so the
   // next fetch is a plain RAM hit and the disk now holds both.
   EXPECT_EQ(fetch(proxy.port(), first, 300).cache, "HIT");
@@ -353,7 +437,7 @@ TEST(ProxyDiskTierTest, DiskTierSurvivesRestart) {
       EXPECT_EQ(fetch(proxy.port(), ObjectId{k}, 300).cache, "MISS");
     }
     proxy.disk()->drain_async();  // demotion is asynchronous; settle it
-    EXPECT_EQ(proxy.stats().disk_demotions, 2u);
+    EXPECT_EQ(counter(proxy, "disk.demotions"), 2u);
   }
   ASSERT_EQ(origin.requests_served(), 3u);
 
@@ -411,9 +495,8 @@ TEST(ProxyDiskTierTest, HintImageWarmsRestartAndPeerServesFromDisk) {
     EXPECT_EQ(via_a2.cache, "SIBLING");
     EXPECT_EQ(via_a2.body, origin_body(demoted, 1, 300));
     EXPECT_EQ(origin.requests_served(), 2u);  // never refetched
-    const ProxyStats sb = b.stats();
-    EXPECT_EQ(sb.peer_serves, 1u);
-    EXPECT_EQ(sb.disk_hits, 1u);
+    EXPECT_EQ(counter(b, "peer_serves"), 1u);
+    EXPECT_EQ(counter(b, "disk.hits"), 1u);
   }
 }
 
@@ -446,7 +529,7 @@ TEST(ProxyServerTest, UpdatesRelayAlongAChain) {
   EXPECT_EQ(via_c.cache, "SIBLING");
   EXPECT_EQ(via_c.body, origin_body(id, 1, 64));
   // b relayed but did not echo the update back to a2.
-  EXPECT_EQ(a2.stats().updates_received, 0u);
+  EXPECT_EQ(counter(a2, "updates_received"), 0u);
   EXPECT_EQ(origin.requests_served(), 1u);
 }
 
@@ -457,7 +540,7 @@ TEST(ProxyServerTest, PushOnPeerFetchSeedsOtherNeighbors) {
   // Supplier s with push enabled; requester r; bystander t.
   ProxyConfig cs = base;
   cs.name = "supplier";
-  cs.push_on_peer_fetch = true;
+  cs.push_policy = "push-all";
   ProxyServer s(cs);
   ProxyConfig cr = base;
   cr.name = "requester";
@@ -476,8 +559,8 @@ TEST(ProxyServerTest, PushOnPeerFetchSeedsOtherNeighbors) {
   // The requester's fetch is a cache-to-cache transfer; serving it triggers
   // a push to the bystander.
   EXPECT_EQ(fetch(r.port(), id, 64).cache, "SIBLING");
-  EXPECT_EQ(s.stats().pushes_sent, 1u);
-  EXPECT_EQ(t.stats().pushes_received, 1u);
+  EXPECT_EQ(counter(s, "pushes_sent"), 1u);
+  EXPECT_EQ(counter(t, "pushes_received"), 1u);
   // The bystander now serves the object locally without any fetch.
   EXPECT_EQ(fetch(t.port(), id, 64).cache, "HIT");
   EXPECT_EQ(origin.requests_served(), 1u);
@@ -513,8 +596,9 @@ TEST(ProxyServerTest, PushPolicyOneSeedsExactlyOneBystander) {
   // Serving the requester's cache-to-cache transfer pushes to exactly one of
   // the two bystanders — push-1's degree, not push-all's.
   EXPECT_EQ(fetch(r.port(), id, 64).cache, "SIBLING");
-  EXPECT_EQ(s.stats().pushes_sent, 1u);
-  EXPECT_EQ(t1.stats().pushes_received + t2.stats().pushes_received, 1u);
+  EXPECT_EQ(counter(s, "pushes_sent"), 1u);
+  EXPECT_EQ(counter(t1, "pushes_received") + counter(t2, "pushes_received"),
+            1u);
   EXPECT_EQ(origin.requests_served(), 1u);
 }
 
@@ -537,7 +621,7 @@ TEST(ProxyServerTest, PushTargetsHeaderSeedsSiblingHints) {
   auto resp = http_call(p.port(), put);
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
-  EXPECT_EQ(p.stats().pushes_received, 1u);
+  EXPECT_EQ(counter(p, "pushes_received"), 1u);
   EXPECT_EQ(p.metrics_snapshot().gauge("bh.proxy.hint_entries"), 1.0);
 
   // A malformed header is ignored wholesale — the object still lands, no
@@ -552,14 +636,8 @@ TEST(ProxyServerTest, PushTargetsHeaderSeedsSiblingHints) {
 
 TEST(ProxyServerTest, PushPolicyNameResolvesAliasAndRejectsUnknown) {
   OriginServer origin;
-  ProxyConfig cfg;
-  cfg.origin_port = origin.port();
-  // Legacy flag maps onto the push-all policy.
-  cfg.push_on_peer_fetch = true;
-  ProxyServer p(cfg);
-  EXPECT_EQ(p.push_policy_name(), "push-all");
-
-  ProxyConfig bad = cfg;
+  ProxyConfig bad;
+  bad.origin_port = origin.port();
   bad.push_policy = "push-everything";
   EXPECT_THROW(ProxyServer{bad}, std::invalid_argument);
 }
@@ -641,26 +719,11 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Hands `proxy` a hint claiming `id` lives at `location` — the wire-level
-// way to point a daemon at an arbitrary (possibly dead) peer.
-void seed_hint(std::uint16_t proxy_port, ObjectId id, std::uint16_t location) {
-  const proto::HintUpdate update{proto::Action::kInform, id,
-                                 MachineId{location}};
-  const auto body = proto::encode_body(std::span(&update, 1));
-  HttpRequest post;
-  post.method = "POST";
-  post.target = "/updates";
-  post.headers.emplace_back("X-From", std::to_string(location));
-  post.body.assign(reinterpret_cast<const char*>(body.data()), body.size());
-  auto resp = http_call(proxy_port, post);
-  ASSERT_TRUE(resp.has_value());
-  ASSERT_EQ(resp->status, 200);
-}
-
 TEST(FaultPathTest, DeadPeerProbeIsDeadlineBounded) {
   // A peer that accepted the connection and then died: the listener's
   // backlog completes the handshake but nothing ever answers. The probe
   // must cost its tight dedicated deadline, not the generic socket timeout.
+  FaultInjector injector(7);  // outlives the daemon whose workers read it
   OriginServer origin;
   ProxyConfig cfg;
   cfg.origin_port = origin.port();
@@ -670,7 +733,6 @@ TEST(FaultPathTest, DeadPeerProbeIsDeadlineBounded) {
   auto blackhole = TcpListener::bind_ephemeral();
   ASSERT_TRUE(blackhole.has_value());  // never accept()ed: a silent peer
 
-  FaultInjector injector(7);
   // A slow link on top of the dead peer: the injector delays the connect,
   // and the absolute deadline must still hold.
   injector.add_rule({FaultOp::kConnect, FaultKind::kDelay, blackhole->port(),
@@ -678,7 +740,7 @@ TEST(FaultPathTest, DeadPeerProbeIsDeadlineBounded) {
   ScopedFaultInjection active(injector);
 
   const ObjectId id{71};
-  seed_hint(proxy.port(), id, blackhole->port());
+  post_update(proxy.port(), proto::Action::kInform, id, blackhole->port());
 
   const auto start = std::chrono::steady_clock::now();
   auto r = fetch(proxy.port(), id, 64);
@@ -688,12 +750,12 @@ TEST(FaultPathTest, DeadPeerProbeIsDeadlineBounded) {
   EXPECT_EQ(r.body, origin_body(id, 1, 64));
   EXPECT_LT(elapsed, 2 * cfg.peer_deadline_seconds);
   EXPECT_GE(injector.injections(), 1u);
-  const auto s = proxy.stats();
-  EXPECT_EQ(s.peer_failures, 1u);
-  EXPECT_EQ(s.origin_fetches, 1u);
+  EXPECT_EQ(counter(proxy, "peer_failures"), 1u);
+  EXPECT_EQ(counter(proxy, "origin_fetches"), 1u);
 }
 
 TEST(FaultPathTest, MidStreamResetFallsBackToOrigin) {
+  FaultInjector injector(7);  // outlives the daemons whose workers read it
   OriginServer origin;
   ProxyConfig ca;
   ca.name = "a";
@@ -710,7 +772,6 @@ TEST(FaultPathTest, MidStreamResetFallsBackToOrigin) {
   fetch(b.port(), y, 64);
   b.flush_hints();  // a hints both objects at b
 
-  FaultInjector injector(7);
   injector.add_rule(
       {FaultOp::kRecv, FaultKind::kReset, b.port(), 1.0, /*max=*/1, 0.0});
   ScopedFaultInjection active(injector);
@@ -721,15 +782,16 @@ TEST(FaultPathTest, MidStreamResetFallsBackToOrigin) {
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.cache, "MISS");
   EXPECT_EQ(r.body, origin_body(x, 1, 64));
-  EXPECT_EQ(a.stats().peer_failures, 1u);
+  EXPECT_EQ(counter(a, "peer_failures"), 1u);
 
   // One reset is far below the quarantine threshold: the next probe (the
   // injection budget is spent) is a normal cache-to-cache transfer.
   EXPECT_EQ(fetch(a.port(), y, 64).cache, "SIBLING");
-  EXPECT_EQ(a.stats().quarantines, 0u);
+  EXPECT_EQ(counter(a, "quarantines"), 0u);
 }
 
 TEST(FaultPathTest, ShortReadFallsBackToOrigin) {
+  FaultInjector injector(7);  // outlives the daemons whose workers read it
   OriginServer origin;
   ProxyConfig ca;
   ca.name = "a";
@@ -745,7 +807,6 @@ TEST(FaultPathTest, ShortReadFallsBackToOrigin) {
   fetch(b.port(), id, 256);
   b.flush_hints();
 
-  FaultInjector injector(7);
   injector.add_rule(
       {FaultOp::kRecv, FaultKind::kShortRead, b.port(), 1.0, /*max=*/1, 0.0});
   ScopedFaultInjection active(injector);
@@ -756,7 +817,7 @@ TEST(FaultPathTest, ShortReadFallsBackToOrigin) {
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.cache, "MISS");
   EXPECT_EQ(r.body, origin_body(id, 1, 256));
-  EXPECT_EQ(a.stats().peer_failures, 1u);
+  EXPECT_EQ(counter(a, "peer_failures"), 1u);
 }
 
 TEST(FaultPathTest, OriginDownYields502WithoutCrash) {
@@ -774,7 +835,7 @@ TEST(FaultPathTest, OriginDownYields502WithoutCrash) {
   auto r = fetch(proxy.port(), uncached, 64);
   EXPECT_EQ(r.status, 502);
   EXPECT_LT(seconds_since(start), 2 * cfg.origin_deadline_seconds);
-  EXPECT_EQ(proxy.stats().origin_failures, 1u);
+  EXPECT_EQ(counter(proxy, "origin_failures"), 1u);
 
   // The daemon keeps serving what it has.
   EXPECT_EQ(fetch(proxy.port(), cached, 64).cache, "HIT");
@@ -823,8 +884,8 @@ TEST(FaultPathTest, CyclicTopologyReachesQuiescence) {
   fetch(a.port(), id, 64);
 
   auto total_sent = [&] {
-    return a.stats().updates_sent + b.stats().updates_sent +
-           c.stats().updates_sent;
+    return counter(a, "updates_sent") + counter(b, "updates_sent") +
+           counter(c, "updates_sent");
   };
   std::uint64_t after_round3 = 0;
   for (int round = 0; round < 6; ++round) {
@@ -864,15 +925,16 @@ TEST(FaultPathTest, HopBoundCapsRelay) {
   a.flush_hints();
   b.flush_hints();
 
-  EXPECT_GE(b.stats().updates_hop_capped, 1u);
+  EXPECT_GE(counter(b, "updates_hop_capped"), 1u);
   // b itself learned the hint...
   EXPECT_EQ(fetch(b.port(), id, 64).cache, "SIBLING");
   // ... but c never did: its fetch goes straight to the origin.
   EXPECT_EQ(fetch(c.port(), id, 64).cache, "MISS");
-  EXPECT_EQ(c.stats().updates_received, 0u);
+  EXPECT_EQ(counter(c, "updates_received"), 0u);
 }
 
 TEST(FaultPathTest, QuarantineDegradesThenReprobeRejoins) {
+  FaultInjector injector(7);  // outlives the daemons whose workers read it
   OriginServer origin;
   ProxyConfig ca;
   ca.name = "a";
@@ -891,7 +953,6 @@ TEST(FaultPathTest, QuarantineDegradesThenReprobeRejoins) {
   for (const ObjectId o : {o1, o2, o3, o4}) fetch(b.port(), o, 64);
   b.flush_hints();  // a hints all four objects at b
 
-  FaultInjector injector(7);
   // b "dies": its next two connections are refused, then it "recovers".
   injector.add_rule({FaultOp::kConnect, FaultKind::kConnectRefused, b.port(),
                      1.0, /*max=*/2, 0.0});
@@ -901,9 +962,8 @@ TEST(FaultPathTest, QuarantineDegradesThenReprobeRejoins) {
   EXPECT_EQ(fetch(a.port(), o1, 64).cache, "MISS");
   EXPECT_EQ(fetch(a.port(), o2, 64).cache, "MISS");
   {
-    const auto s = a.stats();
-    EXPECT_EQ(s.peer_failures, 2u);
-    EXPECT_EQ(s.quarantines, 1u);
+    EXPECT_EQ(counter(a, "peer_failures"), 2u);
+    EXPECT_EQ(counter(a, "quarantines"), 1u);
   }
 
   // Inside the window the hinted probe is skipped outright: origin-direct
@@ -911,16 +971,15 @@ TEST(FaultPathTest, QuarantineDegradesThenReprobeRejoins) {
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(fetch(a.port(), o3, 64).cache, "MISS");
   EXPECT_LT(seconds_since(start), ca.peer_deadline_seconds);
-  EXPECT_EQ(a.stats().quarantine_skips, 1u);
+  EXPECT_EQ(counter(a, "quarantine_skips"), 1u);
 
   // After the window one re-probe is admitted; b is healthy again (the
   // injection budget is spent), so it serves and rejoins.
   std::this_thread::sleep_for(std::chrono::milliseconds(350));
   EXPECT_EQ(fetch(a.port(), o4, 64).cache, "SIBLING");
   {
-    const auto s = a.stats();
-    EXPECT_EQ(s.reprobes, 1u);
-    EXPECT_EQ(s.sibling_hits, 1u);
+    EXPECT_EQ(counter(a, "reprobes"), 1u);
+    EXPECT_EQ(counter(a, "sibling_hits"), 1u);
   }
   // Fully rejoined: no quarantine bookkeeping left for the next probe.
   fetch(b.port(), ObjectId{85}, 64);
@@ -1014,21 +1073,26 @@ TEST(ProxyInlineHitTest, CountersMoveOncePerRequest) {
   };
   const ObjectId id{93};
 
-  ProxyStats before = proxy.stats();
+  obs::MetricsSnapshot before = proxy.metrics_snapshot();
+  obs::MetricsSnapshot after = before;
+  const auto moved = [&](const std::string& name) {
+    return after.counter("bh.proxy." + name) -
+           before.counter("bh.proxy." + name);
+  };
   std::uint64_t samples = request_ms_count();
   ASSERT_EQ(fetch(proxy.port(), id, 64).cache, "MISS");
-  ProxyStats after = proxy.stats();
-  EXPECT_EQ(after.requests - before.requests, 1u);
-  EXPECT_EQ(after.local_hits - before.local_hits, 0u);
-  EXPECT_EQ(after.origin_fetches - before.origin_fetches, 1u);
+  after = proxy.metrics_snapshot();
+  EXPECT_EQ(moved("requests"), 1u);
+  EXPECT_EQ(moved("local_hits"), 0u);
+  EXPECT_EQ(moved("origin_fetches"), 1u);
   EXPECT_EQ(request_ms_count() - samples, 1u);
 
   before = after;
   samples = request_ms_count();
   ASSERT_EQ(fetch(proxy.port(), id, 64).cache, "HIT");
-  after = proxy.stats();
-  EXPECT_EQ(after.requests - before.requests, 1u);
-  EXPECT_EQ(after.local_hits - before.local_hits, 1u);
+  after = proxy.metrics_snapshot();
+  EXPECT_EQ(moved("requests"), 1u);
+  EXPECT_EQ(moved("local_hits"), 1u);
   EXPECT_EQ(request_ms_count() - samples, 1u);
 
   // A peer probe hit is served and counted as a peer serve, untimed.
@@ -1042,9 +1106,9 @@ TEST(ProxyInlineHitTest, CountersMoveOncePerRequest) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(resp->header("X-Cache").value_or(""), "HIT");
-  after = proxy.stats();
-  EXPECT_EQ(after.requests - before.requests, 0u);
-  EXPECT_EQ(after.peer_serves - before.peer_serves, 1u);
+  after = proxy.metrics_snapshot();
+  EXPECT_EQ(moved("requests"), 0u);
+  EXPECT_EQ(moved("peer_serves"), 1u);
   EXPECT_EQ(request_ms_count() - samples, 0u);
 }
 
@@ -1101,12 +1165,12 @@ TEST(ProxyServerTest, FlusherSendsOnSizeTrigger) {
   // No manual flush_hints(): the flusher thread must drain the batch.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (a.stats().updates_received < 2 &&
+  while (counter(a, "updates_received") < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(a.stats().updates_received, 2u);
-  EXPECT_GE(b.stats().flushes, 1u);
+  EXPECT_GE(counter(a, "updates_received"), 2u);
+  EXPECT_GE(counter(b, "flushes"), 1u);
   EXPECT_EQ(fetch(a.port(), first, 64).cache, "SIBLING");
 }
 
@@ -1128,11 +1192,11 @@ TEST(ProxyServerTest, FlusherSendsOnAgeTrigger) {
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (a.stats().updates_received < 1 &&
+  while (counter(a, "updates_received") < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(a.stats().updates_received, 1u);
+  EXPECT_GE(counter(a, "updates_received"), 1u);
   EXPECT_EQ(fetch(a.port(), id, 64).cache, "SIBLING");
 }
 
@@ -1156,15 +1220,14 @@ TEST(ProxyServerTest, CoalescingRetiresInformInvalidatePairs) {
   // retire the inform/invalidate pair for `first` and send only one update.
   b.flush_hints();
 
-  const auto sb = b.stats();
-  EXPECT_EQ(sb.updates_coalesced, 2u);
-  EXPECT_EQ(sb.updates_sent, 1u);
-  EXPECT_EQ(a.stats().updates_received, 1u);
+  EXPECT_EQ(counter(b, "updates_coalesced"), 2u);
+  EXPECT_EQ(counter(b, "updates_sent"), 1u);
+  EXPECT_EQ(counter(a, "updates_received"), 1u);
 
   // Behaviour matches the uncoalesced exchange: no stale hint for `first`,
   // and the hint for `second` works.
   EXPECT_EQ(fetch(a.port(), first, 100).cache, "MISS");
-  EXPECT_EQ(a.stats().false_positives, 0u);
+  EXPECT_EQ(counter(a, "false_positives"), 0u);
   EXPECT_EQ(fetch(a.port(), second, 100).cache, "SIBLING");
 }
 
@@ -1219,7 +1282,7 @@ TEST(ProxyMetricsTest, TextScrapeCarriesEveryProxyCounter) {
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(resp->header("Content-Type").value_or(""),
             "text/plain; version=0.0.4");
-  // Every field of the former ProxyStats struct appears, '.' -> '_'.
+  // Every data-path and failure-path counter appears, '.' -> '_'.
   for (const char* name :
        {"requests", "local_hits", "sibling_hits", "origin_fetches",
         "false_positives", "peer_serves", "peer_rejects", "updates_sent",
@@ -1258,10 +1321,12 @@ TEST(ProxyMetricsTest, JsonScrapeParsesAndMatchesStats) {
   const auto snap = obs::parse_snapshot(resp->body.str());
   ASSERT_TRUE(snap.has_value());
 
-  const ProxyStats s = proxy.stats();
-  EXPECT_EQ(snap->counter("bh.proxy.requests"), s.requests);
-  EXPECT_EQ(snap->counter("bh.proxy.local_hits"), s.local_hits);
-  EXPECT_EQ(snap->counter("bh.proxy.origin_fetches"), s.origin_fetches);
+  // The scrape carries the same counters as the in-process snapshot.
+  const obs::MetricsSnapshot direct = proxy.metrics_snapshot();
+  for (const char* name : {"bh.proxy.requests", "bh.proxy.local_hits",
+                           "bh.proxy.origin_fetches"}) {
+    EXPECT_EQ(snap->counter(name), direct.counter(name)) << name;
+  }
   EXPECT_EQ(snap->counter("bh.proxy.requests"), 3u);
   EXPECT_DOUBLE_EQ(snap->gauge("bh.proxy.cache_objects"), 2.0);
   ASSERT_NE(snap->histogram("bh.proxy.request_ms"), nullptr);
@@ -1336,10 +1401,9 @@ TEST(ProxyKeepAliveTest, OneConnectionServesManyRequests) {
     EXPECT_EQ(resp->header("X-Cache").value_or(""), i == 0 ? "MISS" : "HIT");
     EXPECT_EQ(resp->body, origin_body(id, 1, 256));
   }
-  const ProxyStats s = proxy.stats();
-  EXPECT_EQ(s.requests, 6u);
-  EXPECT_EQ(s.local_hits, 5u);
-  EXPECT_EQ(s.origin_fetches, 1u);
+  EXPECT_EQ(counter(proxy, "requests"), 6u);
+  EXPECT_EQ(counter(proxy, "local_hits"), 5u);
+  EXPECT_EQ(counter(proxy, "origin_fetches"), 1u);
 }
 
 TEST(ProxyKeepAliveTest, ReactorAndPoolMetricsExported) {

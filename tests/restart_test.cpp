@@ -208,9 +208,9 @@ TEST(RestartTest, WarmRestartServesWorkingSetAfterSigkill) {
   EXPECT_LE(refetched, total / 2);
   EXPECT_GE(disk_served + sibling_served, total - total / 2);
   EXPECT_GE(disk_served, kVictimObjects - 1);
-  const ProxyStats s = reborn.stats();
-  EXPECT_GE(s.disk_hits, kVictimObjects - 1);
-  EXPECT_EQ(s.false_positives, 0u);
+  const obs::MetricsSnapshot s = reborn.metrics_snapshot();
+  EXPECT_GE(s.counter("bh.proxy.disk.hits"), kVictimObjects - 1);
+  EXPECT_EQ(s.counter("bh.proxy.false_positives"), 0u);
 }
 
 TEST(RestartTest, InterruptedImageSaveNeverLoadsCorrupt) {
