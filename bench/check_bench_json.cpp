@@ -7,8 +7,8 @@
 //
 // A requirement of the form <suite>:<metric> additionally demands that the
 // suite's metrics block contain that counter/gauge/histogram — how CI pins
-// down specific entries, e.g. that the loadgen_net sweep recorded both the
-// epoll and io_uring rows rather than silently dropping one.
+// down specific entries, e.g. that the loadgen_net run recorded its
+// keep-alive rate and open-loop percentiles.
 //
 //   check_bench_json <file> [<required-suite> | <suite>:<metric> ...]
 #include <cstdio>

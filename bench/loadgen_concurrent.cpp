@@ -7,11 +7,10 @@
 // object (a pure local HIT, so connection setup dominates the exchange).
 // The per_request baseline opens a fresh TCP connection per call (the old
 // thread-per-request contract); the keepalive path holds one persistent
-// ClientConnection per thread. The whole comparison runs once per available
-// I/O backend (epoll, then io_uring when the kernel has it), recording
-// bh.loadgen_net.<backend>.* gauges plus an io_uring_vs_epoll ratio, with
-// the unprefixed keys carrying the auto-selected backend's numbers. Results
-// land in the "loadgen_net" suite.
+// ClientConnection per thread. Results land in the "loadgen_net" suite,
+// under the unprefixed bh.loadgen_net.* keys and again under
+// bh.loadgen_net.epoll.*, the engine's name, which earlier per-backend runs
+// recorded.
 //
 // --restart measures the persistence tier: one daemon with a disk tier and
 // a hint image serves a working set several times its RAM budget (cold
@@ -22,7 +21,7 @@
 // "restart" suite, alongside the per-phase request rates and disk counters.
 //
 // --large measures the large-object serve path: 256KB–4MB bodies streamed
-// from the RAM tier (shared buffers; SEND_ZC on io_uring) and from the disk
+// from the RAM tier (shared buffers, gathered writes) and from the disk
 // tier (file extents via sendfile), recording MB/s per size and in
 // aggregate plus the zero-copy send counters, in the "loadgen_large" suite.
 //
@@ -39,7 +38,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -53,7 +51,6 @@
 #include "obs/machine.h"
 #include "obs/metrics.h"
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 #include "proxy/origin_server.h"
 #include "proxy/proxy_server.h"
 
@@ -191,17 +188,14 @@ struct NetResult {
   lab::OpenLoopResult open_loop;
 };
 
-// One full per-request/keep-alive comparison against a proxy+origin pair
-// mounted on `kind`. Servers are rebuilt per backend so runs are isolated
-// and both measure the identical warm-HIT exchange on the same hardware.
-std::optional<NetResult> run_net_for_backend(proxy::IoBackendKind kind,
-                                             int clients, std::uint64_t ops) {
-  proxy::OriginServer origin(kind);
+// One full per-request/keep-alive comparison against a fresh proxy+origin
+// pair: both paths measure the identical warm-HIT exchange.
+std::optional<NetResult> run_net(int clients, std::uint64_t ops) {
+  proxy::OriginServer origin;
   proxy::ProxyConfig cfg;
   cfg.name = "loadgen";
   cfg.origin_port = origin.port();
   cfg.workers = static_cast<std::size_t>(std::max(clients, 2));
-  cfg.io_backend = kind;
   proxy::ProxyServer proxy_server(cfg);
 
   // Warm the one object: first fetch is the only origin round trip; every
@@ -209,8 +203,7 @@ std::optional<NetResult> run_net_for_backend(proxy::IoBackendKind kind,
   // difference under test rather than cache behavior.
   const auto warmed = proxy::http_call(proxy_server.port(), net_request());
   if (!warmed || warmed->status != 200) {
-    std::fprintf(stderr, "[loadgen_net] warm fetch failed (%s)\n",
-                 proxy::io_backend_kind_name(kind));
+    std::fprintf(stderr, "[loadgen_net] warm fetch failed\n");
     return std::nullopt;
   }
 
@@ -236,21 +229,8 @@ std::optional<NetResult> run_net_for_backend(proxy::IoBackendKind kind,
 
 int run_net_mode(const std::string& json_path, int clients, std::uint64_t ops,
                  double require_speedup) {
-  // Sweep every backend this kernel offers, epoll first so the io_uring run
-  // can be read as a delta against it.
-  std::vector<proxy::IoBackendKind> kinds{proxy::IoBackendKind::kEpoll};
-  std::string why;
-  if (proxy::io_uring_supported(&why)) {
-    kinds.push_back(proxy::IoBackendKind::kIoUring);
-  } else {
-    std::fprintf(stderr, "[loadgen_net] io_uring unavailable (%s): epoll only\n",
-                 why.c_str());
-  }
-
   std::printf("loadgen_net: %d client(s), %llu requests/client, %zu-byte body\n",
               clients, static_cast<unsigned long long>(ops), kNetObjectBytes);
-  std::printf("%10s %16s %20s %10s\n", "backend", "per_request r/s",
-              "keepalive r/s", "speedup");
 
   obs::MetricsRegistry reg;
   obs::record_machine_shape(reg);
@@ -258,47 +238,24 @@ int run_net_mode(const std::string& json_path, int clients, std::uint64_t ops,
   reg.gauge("bh.loadgen_net.requests_per_client")
       .set(static_cast<double>(ops));
 
-  std::map<std::string, NetResult> results;
-  for (const proxy::IoBackendKind kind : kinds) {
-    const auto r = run_net_for_backend(kind, clients, ops);
-    if (!r) return 1;
-    const std::string name = proxy::io_backend_kind_name(kind);
-    results[name] = *r;
-    std::printf("%10s %16.0f %20.0f %9.2fx\n", name.c_str(), r->per_req,
-                r->keepalive, r->keepalive / r->per_req);
-    const std::string prefix = "bh.loadgen_net." + name;
+  const auto r = run_net(clients, ops);
+  if (!r) return 1;
+  const double speedup = r->keepalive / r->per_req;
+  std::printf("per_request %.0f r/s, keepalive %.0f r/s, speedup %.2fx\n",
+              r->per_req, r->keepalive, speedup);
+  std::printf("open-loop @ %.0f req/s: p50 %.3f ms  p99 %.3f ms  "
+              "(%llu requests, %llu failures)\n",
+              r->open_opts.rate_per_client * r->open_opts.clients,
+              r->open_loop.p50_ms(), r->open_loop.p99_ms(),
+              static_cast<unsigned long long>(r->open_loop.scheduled),
+              static_cast<unsigned long long>(r->open_loop.failures));
+  // bh.loadgen_net.p50_ms / p99_ms and the epoll keep-alive rate are
+  // required keys in CI smoke runs.
+  for (const std::string prefix : {"bh.loadgen_net", "bh.loadgen_net.epoll"}) {
     reg.gauge(prefix + ".per_request.requests_per_sec").set(r->per_req);
     reg.gauge(prefix + ".keepalive.requests_per_sec").set(r->keepalive);
-    reg.gauge(prefix + ".speedup").set(r->keepalive / r->per_req);
+    reg.gauge(prefix + ".speedup").set(speedup);
     lab::record_open_loop(reg, prefix, r->open_opts, r->open_loop);
-    std::printf("%10s open-loop @ %.0f req/s: p50 %.3f ms  p99 %.3f ms  "
-                "(%llu requests, %llu failures)\n",
-                name.c_str(),
-                r->open_opts.rate_per_client * r->open_opts.clients,
-                r->open_loop.p50_ms(), r->open_loop.p99_ms(),
-                static_cast<unsigned long long>(r->open_loop.scheduled),
-                static_cast<unsigned long long>(r->open_loop.failures));
-  }
-
-  // Unprefixed keys track what a default (`auto`) deployment gets — the
-  // last backend in the sweep is the one auto prefers — preserving the
-  // trend line the suite recorded before the per-backend split.
-  const NetResult& preferred = results.rbegin()->second;
-  reg.gauge("bh.loadgen_net.per_request.requests_per_sec")
-      .set(preferred.per_req);
-  reg.gauge("bh.loadgen_net.keepalive.requests_per_sec")
-      .set(preferred.keepalive);
-  const double speedup = preferred.keepalive / preferred.per_req;
-  reg.gauge("bh.loadgen_net.speedup").set(speedup);
-  // Unprefixed open-loop percentiles: what the preferred backend delivers.
-  // bh.loadgen_net.p50_ms / p99_ms are required keys in CI smoke runs.
-  lab::record_open_loop(reg, "bh.loadgen_net", preferred.open_opts,
-                        preferred.open_loop);
-
-  if (results.count("epoll") && results.count("io_uring")) {
-    const double vs = results["io_uring"].keepalive / results["epoll"].keepalive;
-    reg.gauge("bh.loadgen_net.io_uring_vs_epoll").set(vs);
-    std::printf("io_uring/epoll keep-alive ratio: %.2fx\n", vs);
   }
 
   std::ostringstream suite;
@@ -445,7 +402,7 @@ int run_restart_mode(const std::string& json_path) {
 // --- large-object mode ---
 //
 // MB/s for 256KB–4MB bodies on the two serve tiers: RAM (shared-buffer
-// bodies, SEND_ZC above the threshold on io_uring) and disk (extent bodies
+// bodies in gathered writes) and disk (extent bodies
 // via sendfile — a tiny RAM budget routes every object straight to the L2
 // store). Warm pass fetches each object once from the origin; the measured
 // pass replays the set over one keep-alive connection per size.

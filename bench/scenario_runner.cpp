@@ -6,7 +6,6 @@
 //                     origin_outage]
 //                   [--proxies=N] [--topology=ring|hierarchy|mesh]
 //                   [--clients=N] [--rate=R] [--duration=S] [--objects=N]
-//                   [--io-backend=auto|epoll|io_uring]
 //                   [--json=PATH] [--no-slo]
 //
 // Each scenario writes suite "scenario_<name>" (bh.scenario.<name>.* — the
@@ -26,7 +25,6 @@
 #include "lab/cluster.h"
 #include "lab/scenarios.h"
 #include "obs/machine.h"
-#include "proxy/io_backend.h"
 
 namespace {
 
@@ -38,7 +36,7 @@ int usage(int code) {
       "failure_storm|origin_outage]\n"
       "                       [--proxies=N] [--topology=ring|hierarchy|mesh]\n"
       "                       [--clients=N] [--rate=R] [--duration=S]\n"
-      "                       [--objects=N] [--io-backend=auto|epoll|io_uring]\n"
+      "                       [--objects=N]\n"
       "                       [--json=PATH] [--no-slo]\n");
   return code;
 }
@@ -84,13 +82,6 @@ int main(int argc, char** argv) {
       opts.duration_seconds = std::atof(val().c_str());
     } else if (a.rfind("--objects=", 0) == 0) {
       opts.objects = std::strtoull(val().c_str(), nullptr, 10);
-    } else if (a.rfind("--io-backend=", 0) == 0) {
-      const auto kind = bh::proxy::parse_io_backend(val());
-      if (!kind) {
-        std::fprintf(stderr, "unknown io backend %s\n", val().c_str());
-        return 2;
-      }
-      opts.cluster.io_backend = *kind;
     } else if (a.rfind("--json=", 0) == 0) {
       json_path = val();
     } else if (a == "--no-slo") {

@@ -22,7 +22,6 @@
 #include "lab/cluster.h"
 #include "obs/metrics.h"
 #include "placement/placement.h"
-#include "proxy/io_backend.h"
 #include "proxy/origin_server.h"
 #include "proxy/proxy_server.h"
 
@@ -53,19 +52,16 @@ void print_stats(const std::vector<std::unique_ptr<proxy::ProxyServer>>& ps) {
 int main(int argc, char** argv) {
   // Data-path concurrency knobs: --shards=N sets both the cache shard and
   // hint stripe count, --workers=N sizes each daemon's handler pool,
-  // --backlog=N caps each listener's accept backlog (0 = SOMAXCONN),
-  // --io-backend=auto|epoll|io_uring picks the reactor's I/O engine
-  // (auto probes io_uring and falls back to epoll), --persist=DIR gives each
-  // daemon an on-disk L2 tier and a hint image under DIR/proxy-<i>/ (rerun
-  // with the same DIR to watch the cluster start warm), and --probe-io-uring
-  // just reports whether this kernel can run the io_uring backend.
+  // --backlog=N caps each listener's accept backlog (0 = SOMAXCONN), and
+  // --persist=DIR gives each daemon an on-disk L2 tier and a hint image
+  // under DIR/proxy-<i>/ (rerun with the same DIR to watch the cluster
+  // start warm).
   std::size_t shards = 8;
   std::size_t workers = 8;
   std::string push_policy = "none";
   std::size_t daemons = 4;
   int backlog = 0;
   std::string persist_dir;
-  proxy::IoBackendKind io_backend = proxy::IoBackendKind::kAuto;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--shards=", 0) == 0) {
@@ -96,39 +92,11 @@ int main(int argc, char** argv) {
       workers = std::strtoull(a.c_str() + 10, nullptr, 10);
     } else if (a.rfind("--backlog=", 0) == 0) {
       backlog = std::atoi(a.c_str() + 10);
-    } else if (a.rfind("--io-backend=", 0) == 0) {
-      const auto kind = proxy::parse_io_backend(a.substr(13));
-      if (!kind) {
-        std::fprintf(stderr, "unknown --io-backend '%s' (auto|epoll|io_uring)\n",
-                     a.c_str() + 13);
-        return 1;
-      }
-      io_backend = *kind;
-    } else if (a == "--probe-io-uring") {
-      std::string why;
-      if (proxy::io_uring_supported(&why)) {
-        std::printf("io_uring: supported\n");
-        return 0;
-      }
-      std::printf("io_uring: unsupported (%s)\n", why.c_str());
-      return 2;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--daemons=N] [--shards=N] [--workers=N] "
-                   "[--backlog=N] [--io-backend=auto|epoll|io_uring] "
-                   "[--persist=DIR] [--push-policy=NAME] "
-                   "[--probe-io-uring]\n",
+                   "[--backlog=N] [--persist=DIR] [--push-policy=NAME]\n",
                    argv[0]);
-      return 1;
-    }
-  }
-
-  // An explicitly requested backend the kernel cannot provide is a clean
-  // startup error, not a silent fallback.
-  if (io_backend == proxy::IoBackendKind::kIoUring) {
-    std::string why;
-    if (!proxy::io_uring_supported(&why)) {
-      std::fprintf(stderr, "--io-backend=io_uring: %s\n", why.c_str());
       return 1;
     }
   }
@@ -141,7 +109,7 @@ int main(int argc, char** argv) {
   lab::raise_nofile_limit(daemons * lab::kFdsPerDaemon + 256);
   if (daemons > 16 && workers == 8) workers = 2;
 
-  proxy::OriginServer origin(io_backend);
+  proxy::OriginServer origin;
 
   // A ring topology: each proxy exchanges hints with its successor. The
   // graph is cyclic — exactly the shape that used to circulate updates
@@ -156,7 +124,6 @@ int main(int argc, char** argv) {
     cfg.hint_stripes = shards;
     cfg.workers = workers;
     cfg.listen_backlog = backlog;
-    cfg.io_backend = io_backend;
     // Failure budget: tight data-path probes, short quarantine so the demo's
     // outage phase shows degradation and the stats stay legible.
     cfg.peer_deadline_seconds = 0.25;

@@ -168,7 +168,7 @@ void Cluster::start() {
   }
   raise_nofile_limit(static_cast<std::size_t>(opts_.proxies) * kFdsPerDaemon +
                      1024);
-  origin_ = std::make_unique<proxy::OriginServer>(opts_.io_backend);
+  origin_ = std::make_unique<proxy::OriginServer>();
   origin_port_ = origin_->port();
   daemons_.assign(static_cast<std::size_t>(opts_.proxies), Daemon{});
   for (int i = 0; i < opts_.proxies; ++i) {
@@ -202,7 +202,6 @@ void Cluster::spawn_daemon(int index, std::uint16_t fixed_port) {
            std::to_string(opts_.quarantine_threshold)),
       flag("--quarantine-seconds", std::to_string(opts_.quarantine_seconds)),
       flag("--flush-interval", std::to_string(opts_.flush_interval_seconds)),
-      flag("--io-backend", proxy::io_backend_kind_name(opts_.io_backend)),
   };
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -295,8 +294,7 @@ void Cluster::stop_origin() {
 }
 
 void Cluster::restart_origin() {
-  origin_ = std::make_unique<proxy::OriginServer>(opts_.io_backend,
-                                                  origin_port_);
+  origin_ = std::make_unique<proxy::OriginServer>(origin_port_);
 }
 
 void Cluster::reap(int i, int signal) {
@@ -413,10 +411,6 @@ namespace {
       cfg.quarantine_seconds = std::strtod(val().c_str(), nullptr);
     } else if (a.rfind("--flush-interval=", 0) == 0) {
       cfg.flush_interval_seconds = std::strtod(val().c_str(), nullptr);
-    } else if (a.rfind("--io-backend=", 0) == 0) {
-      const auto kind = proxy::parse_io_backend(val());
-      if (!kind) daemon_fail("bad --io-backend " + val());
-      cfg.io_backend = *kind;
     } else {
       daemon_fail("unknown daemon flag " + a);
     }

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "proxy/io_backend.h"
 #include "proxy/origin_server.h"
 
 namespace bh::lab {
@@ -79,7 +78,6 @@ struct ClusterOptions {
   double quarantine_seconds = 1.0;
   // Age-triggered hint flushing so hints propagate without manual flushes.
   double flush_interval_seconds = 0.05;
-  proxy::IoBackendKind io_backend = proxy::IoBackendKind::kAuto;
   // Binary to exec for daemon processes; empty = /proc/self/exe. Whatever
   // it names must call maybe_run_daemon() first thing in main().
   std::string exe;

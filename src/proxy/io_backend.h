@@ -1,163 +1,82 @@
-// I/O backend abstraction for the proxy reactor.
+// The proxy reactor's I/O engine: level-triggered readiness via epoll_wait,
+// with the accept4 and recv loops run in user space. The reactor's event
+// loop (reactor.h) drains posted tasks, advances the timer wheel, and then
+// asks the IoBackend to wait for and dispatch I/O.
 //
-// The reactor's event loop (reactor.h) is backend-agnostic: it drains posted
-// tasks, advances the timer wheel, and then asks an IoBackend to wait for and
-// dispatch I/O. Two implementations exist:
-//
-//   epoll    — the portable baseline: level-triggered readiness via
-//              epoll_wait, accept4/recv loops run in user space.
-//   io_uring — completion-based: multishot accept on listeners, multishot
-//              recv from a provided buffer ring on streams, readiness via
-//              multishot poll for generic fds, and every SQE queued during a
-//              loop iteration submitted with a single io_uring_enter. Built
-//              on raw syscalls (io_uring_setup/enter/register + mmap ring
-//              accounting), so no liburing dependency is required.
-//
-// Interface contract (all methods loop-thread-only unless noted):
+// Contract (all methods loop-thread-only unless noted):
 //   - Registrations are identified by monotonically increasing ids that are
 //     never reused, so a recycled fd can never receive a stale callback.
-//   - add_fd registers level-triggered readiness interest; the callback
-//     receives an event mask (kIoReadable/kIoWritable/...) and may be called
-//     spuriously — callers must tolerate readiness without progress.
 //   - add_listener delivers accepted connections as ready non-blocking
-//     close-on-exec fds. Ownership of each delivered fd passes to the
-//     callback. set_listener_enabled(false) stops future accepts
-//     (backpressure); connections the kernel already completed may still be
-//     delivered after a pause.
+//     close-on-exec fds; ownership of each delivered fd passes to the
+//     callback. When accept4 fails because the process or system is out of
+//     fds (or socket memory), the callback receives -errno instead and the
+//     pending connection stays queued: the caller must disable the listener
+//     and retry later, or level-triggered readiness reports it again at
+//     once. set_listener_enabled(false) stops future accepts.
 //   - add_stream delivers received bytes: on_recv(data, n) with n > 0 for a
-//     chunk (the pointer is valid only for the duration of the call — the
-//     io_uring implementation hands out provided-ring buffers that are
-//     recycled when the callback returns), n == 0 for EOF, n < 0 for
-//     -errno. request_writable arms a one-shot writability notification
-//     (used after a non-blocking send returned EAGAIN).
+//     chunk (the pointer is valid only for the duration of the call), n == 0
+//     for EOF, n < 0 for -errno. request_writable arms a one-shot
+//     writability notification (used after a non-blocking send returned
+//     EAGAIN).
 //   - del_fd works for every registration kind and is safe to call from any
-//     callback, including the one currently being dispatched; completions
-//     already in flight for a deleted registration are dropped.
+//     callback, including the one currently being dispatched; events already
+//     reported for a deleted registration are dropped.
 //   - poll(timeout_ms) runs one wait-and-dispatch cycle (-1 = wait forever,
 //     0 = poll). wakeup() (any thread) makes a blocked poll return early.
-//
-// Submission batching (io_uring): SQEs produced by callbacks — re-arms,
-// cancels, new multishot recvs for accepted connections — accumulate and go
-// to the kernel in one io_uring_enter at the head of the next poll cycle;
-// the submit observer sees each batch size (`bh.proxy.sqe_batch`).
-//
-// Buffer-ring ownership (io_uring): the backend owns the provided-buffer
-// memory and its ring; buffers are loaned to the kernel, surface in recv
-// completions, and are returned to the ring tail by the backend after the
-// on_recv callback copies what it needs. Callbacks must not retain the data
-// pointer. Only the loop thread touches the ring tail, so no locks are
-// involved anywhere in the backend.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
+#include <unordered_map>
 #include <sys/types.h>
 
 namespace bh::proxy {
 
-// Readiness mask bits; numerically identical to EPOLLIN/EPOLLOUT/EPOLLERR/
-// EPOLLHUP (== POLLIN/POLLOUT/POLLERR/POLLHUP), so either backend can pass
-// kernel masks through unchanged.
-inline constexpr std::uint32_t kIoReadable = 0x001;
-inline constexpr std::uint32_t kIoWritable = 0x004;
-inline constexpr std::uint32_t kIoError = 0x008;
-inline constexpr std::uint32_t kIoHangup = 0x010;
-
-enum class IoBackendKind {
-  kAuto,     // io_uring when the kernel supports it, else epoll
-  kEpoll,    // force the portable epoll backend
-  kIoUring,  // require io_uring; construction fails when unsupported
-};
-
-const char* io_backend_kind_name(IoBackendKind kind);
-
-// Parses "auto" | "epoll" | "io_uring" (also accepts "uring").
-std::optional<IoBackendKind> parse_io_backend(std::string_view name);
-
-// True when io_uring can actually be used here: the kernel accepts
-// io_uring_setup plus the ops the backend needs (multishot accept/recv,
-// provided buffer rings), and the BH_DISABLE_IO_URING environment variable
-// is not set (the override exists so tests and deployments can simulate or
-// force probe failure). When false and `why` is non-null, *why names the
-// reason.
-bool io_uring_supported(std::string* why = nullptr);
-
 class IoBackend {
  public:
-  using IoFn = std::function<void(std::uint32_t events)>;
+  // fd >= 0: an accepted connection; fd < 0: -errno of a resource failure.
   using AcceptFn = std::function<void(int fd)>;
   using RecvFn = std::function<void(const char* data, ssize_t n)>;
   using WritableFn = std::function<void()>;
-  // Result of a zero-copy send: bytes written (may be short) or -errno.
-  using SendDoneFn = std::function<void(ssize_t n)>;
 
-  // Counters for `bh.proxy.*` metrics. Backends maintain them as relaxed
-  // atomics (written only by the loop thread, sampled by metric scrapes on
-  // other threads); stats() returns a point-in-time snapshot.
-  struct Stats {
-    std::uint64_t submit_calls = 0;    // io_uring_enter calls that submitted
-    std::uint64_t sqes_submitted = 0;  // total SQEs across those calls
-    std::uint64_t cqes_reaped = 0;     // completions dispatched
+  // Throws std::runtime_error if the epoll instance or the wakeup eventfd
+  // cannot be created.
+  IoBackend();
+  ~IoBackend();
+  IoBackend(const IoBackend&) = delete;
+  IoBackend& operator=(const IoBackend&) = delete;
+
+  std::uint64_t add_listener(int fd, AcceptFn fn);
+  bool set_listener_enabled(std::uint64_t id, bool enabled);
+
+  std::uint64_t add_stream(int fd, RecvFn on_recv, WritableFn on_writable);
+  void request_writable(std::uint64_t id);
+
+  void del_fd(std::uint64_t id);
+
+  bool poll(int timeout_ms);
+  void wakeup();  // any-thread
+
+ private:
+  struct Reg {
+    int fd = -1;
+    bool listener = false;
+    AcceptFn accept_fn;
+    RecvFn recv_fn;
+    WritableFn writable_fn;
+    bool enabled = true;         // listener accepting
+    bool want_writable = false;  // stream armed for one-shot EPOLLOUT
   };
 
-  virtual ~IoBackend() = default;
+  std::uint64_t add_reg(int fd, std::uint32_t events, Reg reg);
+  bool mod_fd(std::uint64_t id, std::uint32_t events);
+  void accept_ready(std::uint64_t id);
+  void stream_ready(std::uint64_t id, std::uint32_t events);
 
-  virtual const char* name() const = 0;
-
-  virtual std::uint64_t add_fd(int fd, std::uint32_t events, IoFn fn) = 0;
-  virtual bool mod_fd(std::uint64_t id, std::uint32_t events) = 0;
-  virtual void del_fd(std::uint64_t id) = 0;
-
-  virtual std::uint64_t add_listener(int fd, AcceptFn fn) = 0;
-  virtual bool set_listener_enabled(std::uint64_t id, bool enabled) = 0;
-
-  virtual std::uint64_t add_stream(int fd, RecvFn on_recv,
-                                   WritableFn on_writable) = 0;
-  virtual void request_writable(std::uint64_t id) = 0;
-
-  // Zero-copy send on a stream registration (io_uring IORING_OP_SEND_ZC).
-  // Returns false when the backend has no zero-copy path (epoll) — the
-  // caller falls back to ordinary copies. On true, the kernel transmits
-  // directly from `data`; `keepalive` is held by the backend until the
-  // kernel's buffer-release notification (F_NOTIF), so the bytes outlive
-  // even a del_fd mid-flight, and `done(n)` fires on the loop thread with
-  // the send result (short counts possible; -errno on failure). At most one
-  // zero-copy send may be in flight per stream. Loop-thread-only.
-  virtual bool send_zc(std::uint64_t /*id*/, const void* /*data*/,
-                       std::size_t /*len*/,
-                       std::shared_ptr<const void> /*keepalive*/,
-                       SendDoneFn /*done*/) {
-    return false;
-  }
-
-  virtual bool poll(int timeout_ms) = 0;
-  virtual void wakeup() = 0;  // any-thread
-
-  virtual Stats stats() const { return {}; }
-
-  // Invoked on the loop thread with each non-empty submission batch size
-  // (io_uring only; the epoll backend never calls it).
-  void set_submit_observer(std::function<void(unsigned)> fn) {
-    submit_observer_ = std::move(fn);
-  }
-
- protected:
-  std::function<void(unsigned)> submit_observer_;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::unordered_map<std::uint64_t, Reg> regs_;
+  std::uint64_t next_id_ = 1;
 };
-
-// Builds a backend of the requested kind. For kAuto, probes io_uring and
-// silently falls back to epoll. For kIoUring on a kernel (or environment)
-// that cannot run it, throws std::runtime_error with the probe's reason.
-std::unique_ptr<IoBackend> make_io_backend(IoBackendKind kind);
-
-namespace detail {
-// Factories used by make_io_backend; each may throw std::runtime_error.
-std::unique_ptr<IoBackend> make_epoll_backend();
-std::unique_ptr<IoBackend> make_uring_backend();
-}  // namespace detail
 
 }  // namespace bh::proxy

@@ -39,15 +39,14 @@ std::optional<ObjectId> object_from_path(std::string_view path) {
   return ObjectId{value};
 }
 
-OriginServer::OriginServer(IoBackendKind io_backend,
-                           std::uint16_t listen_port) {
+OriginServer::OriginServer(std::uint16_t listen_port) {
   listener_ = TcpListener::bind(listen_port);
   if (!listener_) {
     throw std::runtime_error("origin: cannot bind 127.0.0.1:" +
                              std::to_string(listen_port));
   }
   port_ = listener_->port();
-  reactor_ = std::make_unique<Reactor>(io_backend);
+  reactor_ = std::make_unique<Reactor>();
   // Origin handlers are pure in-memory work, so they run inline on the loop
   // thread: dispatch -> handle -> respond without a worker pool.
   http_loop_ = std::make_unique<HttpLoop>(

@@ -39,13 +39,11 @@ std::optional<ObjectId> object_from_path(std::string_view path);
 
 class OriginServer {
  public:
-  // `io_backend` selects the reactor backend (io_backend.h); kAuto prefers
-  // io_uring and falls back to epoll. `listen_port` pins the serving port
-  // (0 = ephemeral) — the scenario lab's origin-outage recovery rebinds a
-  // fresh origin on the port every proxy was configured with. Throws
-  // std::runtime_error when the port cannot be bound.
-  explicit OriginServer(IoBackendKind io_backend = IoBackendKind::kAuto,
-                        std::uint16_t listen_port = 0);
+  // `listen_port` pins the serving port (0 = ephemeral) — the scenario
+  // lab's origin-outage recovery rebinds a fresh origin on the port every
+  // proxy was configured with. Throws std::runtime_error when the port
+  // cannot be bound.
+  explicit OriginServer(std::uint16_t listen_port = 0);
   ~OriginServer();
 
   OriginServer(const OriginServer&) = delete;

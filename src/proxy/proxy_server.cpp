@@ -89,7 +89,6 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
       c_(make_counters(registry_)),
       request_ms_(registry_.histogram("bh.proxy.request_ms")),
       flush_batch_(registry_.histogram("bh.proxy.flush_batch")),
-      sqe_batch_(registry_.histogram("bh.proxy.sqe_batch")),
       demote_ms_(registry_.histogram("bh.proxy.disk.demote_ms")),
       promote_ms_(registry_.histogram("bh.proxy.disk.promote_ms")) {
   // Resolve the placement policy first: an unknown name throws before any
@@ -127,12 +126,9 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
         (cfg_.listen_port != 0 ? " (port in use?)" : ""));
   }
   port_ = listener_->port();
-  reactor_ = std::make_unique<Reactor>(cfg_.io_backend);
-  reactor_->io().set_submit_observer(
-      [this](unsigned batch) { sqe_batch_.record(batch); });
+  reactor_ = std::make_unique<Reactor>();
   HttpLoop::Options loop_opts;
   loop_opts.idle_timeout_seconds = cfg_.keepalive_idle_seconds;
-  loop_opts.zero_copy_min_bytes = cfg_.zero_copy_min_bytes;
   http_loop_ = std::make_unique<HttpLoop>(
       *reactor_, listener_->fd(), loop_opts,
       [this](std::uint64_t token, HttpRequest req) {
@@ -199,10 +195,6 @@ void ProxyServer::save_hint_image() {
   hints_->for_each(
       [&](ObjectId id, MachineId loc) { image.insert(id, loc); });
   image.save(cfg_.hint_image_path);
-}
-
-const char* ProxyServer::backend_name() const {
-  return reactor_->backend_name();
 }
 
 void ProxyServer::stop() {
@@ -306,16 +298,10 @@ obs::MetricsSnapshot ProxyServer::metrics_snapshot() const {
       .set(static_cast<double>(pool_.idle_count()));
   registry_.counter("bh.proxy.loop_iterations").set(reactor_->iterations());
   registry_.counter("bh.proxy.pool_reuse").set(pool_.reuses());
-  // Which I/O backend actually serves this daemon (auto may have fallen
-  // back), plus its submission/completion counters (zero under epoll).
-  registry_.gauge(std::string("bh.proxy.backend.") + reactor_->backend_name())
-      .set(1.0);
-  const IoBackend::Stats io = reactor_->io_stats();
-  registry_.counter("bh.proxy.submit_calls").set(io.submit_calls);
-  registry_.counter("bh.proxy.sqes_submitted").set(io.sqes_submitted);
-  registry_.counter("bh.proxy.cqes_reaped").set(io.cqes_reaped);
-  // Zero-copy sends: extents via sendfile(2), large shared buffers via
-  // IORING_OP_SEND_ZC on the uring backend.
+  // Always 0 (epoll makes no submission calls); exported because perfbench's
+  // traced proxy.submit_calls_per_req requires the counter to exist.
+  registry_.counter("bh.proxy.submit_calls").set(0);
+  // Zero-copy sends: extent bodies via sendfile(2).
   registry_.counter("bh.proxy.zerocopy_sends").set(http_loop_->zerocopy_sends());
   registry_.counter("bh.proxy.bytes_zerocopy").set(http_loop_->zerocopy_bytes());
   return registry_.snapshot();

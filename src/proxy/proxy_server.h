@@ -12,8 +12,7 @@
 //
 // Threading model (the paper makes the *local* cache operation the common
 // case; this layer makes it scale to many cores):
-//   - all inbound I/O runs on a single reactor thread over a pluggable
-//     backend (epoll or io_uring, ProxyConfig::io_backend): non-blocking
+//   - all inbound I/O runs on a single epoll reactor thread: non-blocking
 //     accept, incremental parsing, and gathered response writes, with
 //     HTTP/1.0 keep-alive so one client connection can carry many requests
 //     (see reactor.h, io_backend.h). The loop never blocks on a socket;
@@ -171,20 +170,11 @@ struct ProxyConfig {
   std::size_t accept_queue_capacity = 128;
 
   // --- event-driven I/O ---
-  // Which reactor I/O backend serves inbound connections: kAuto picks
-  // io_uring when the kernel supports it and falls back to epoll;
-  // kIoUring makes construction throw on an unsupported kernel.
-  IoBackendKind io_backend = IoBackendKind::kAuto;
   // Kernel listen backlog; <= 0 means SOMAXCONN.
   int listen_backlog = 0;
   // Inbound keep-alive connections idle longer than this are closed by the
   // reactor's sweep; <= 0 disables the sweep.
   double keepalive_idle_seconds = 30.0;
-  // RAM response bodies at least this large go out via the backend's
-  // zero-copy send (io_uring SEND_ZC) instead of being copied into the
-  // socket; disk-extent bodies always go via sendfile. 0 disables the
-  // SEND_ZC path. (See HttpLoop::Options::zero_copy_min_bytes.)
-  std::uint64_t zero_copy_min_bytes = 64ULL << 10;
   // Outbound persistent-connection pool: parked connections per peer, and
   // how long one may sit idle before it is discarded instead of reused.
   std::size_t pool_max_idle_per_peer = 4;
@@ -237,9 +227,8 @@ class ProxyServer {
   std::uint16_t port() const { return port_; }
   MachineId self() const { return MachineId{port_}; }
 
-  // Name of the I/O backend the reactor actually selected ("epoll" or
-  // "io_uring") — with kAuto this is the probe's outcome, not the request.
-  const char* backend_name() const;
+  // Name of the reactor's I/O engine: always "epoll".
+  const char* backend_name() const { return "epoll"; }
 
   // Drains and sends the pending hint-update batch to every neighbour now,
   // synchronously. Tests and examples drive batching explicitly for
@@ -410,7 +399,7 @@ class ProxyServer {
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> call_seq_{0};  // de-syncs backoff jitter streams
 
-  // --- inbound I/O: reactor (epoll/io_uring) + HTTP state machines ---
+  // --- inbound I/O: epoll reactor + HTTP state machines ---
   // Declared before http_loop_ so the loop is destroyed first.
   std::unique_ptr<Reactor> reactor_;
   std::unique_ptr<HttpLoop> http_loop_;
@@ -470,7 +459,6 @@ class ProxyServer {
   Counters c_;
   obs::Histogram& request_ms_;   // client GET service time, milliseconds
   obs::Histogram& flush_batch_;  // updates per non-empty flush, post-coalesce
-  obs::Histogram& sqe_batch_;    // SQEs per io_uring submission (uring only)
   obs::Histogram& demote_ms_;    // RAM-eviction -> disk write latency
   obs::Histogram& promote_ms_;   // disk read -> RAM re-insert latency
 };

@@ -22,6 +22,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kMaxWriteIov = 16;
 
+// How long the listener rests after accept4 ran out of fds.
+constexpr double kAcceptRetrySeconds = 0.05;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ int TimerWheel::next_delay_ms(Clock::time_point now) const {
 // ---------------------------------------------------------------------------
 // Reactor
 
-Reactor::Reactor(IoBackendKind kind) : backend_(make_io_backend(kind)) {
+Reactor::Reactor() {
   // The socket writes all carry MSG_NOSIGNAL, but sendfile(2) on the
   // zero-copy extent path has no such flag: a peer that dies mid-transfer
   // must surface as EPIPE on the call, not kill the process.
@@ -136,29 +139,17 @@ Reactor::Reactor(IoBackendKind kind) : backend_(make_io_backend(kind)) {
   (void)sigpipe_ignored;
 }
 
-Reactor::~Reactor() = default;
-
-std::uint64_t Reactor::add_fd(int fd, std::uint32_t events, IoFn fn) {
-  return backend_->add_fd(fd, events, std::move(fn));
-}
-
-bool Reactor::mod_fd(std::uint64_t id, std::uint32_t events) {
-  return backend_->mod_fd(id, events);
-}
-
-void Reactor::del_fd(std::uint64_t id) { backend_->del_fd(id); }
-
 void Reactor::post(std::function<void()> fn) {
   {
     std::lock_guard lock(tasks_mu_);
     tasks_.push_back(std::move(fn));
   }
-  backend_->wakeup();
+  backend_.wakeup();
 }
 
 void Reactor::stop() {
   stop_.store(true, std::memory_order_release);
-  backend_->wakeup();
+  backend_.wakeup();
 }
 
 bool Reactor::on_loop_thread() const {
@@ -181,7 +172,7 @@ void Reactor::run() {
 
     timers_.advance(Clock::now());
     const int timeout = timers_.next_delay_ms(Clock::now());
-    const bool ok = backend_->poll(timeout);
+    const bool ok = backend_.poll(timeout);
     iterations_.fetch_add(1, std::memory_order_relaxed);
     if (!ok) break;
   }
@@ -215,6 +206,10 @@ void HttpLoop::schedule_sweep() {
 }
 
 void HttpLoop::on_accepted(int fd) {
+  if (fd < 0) {
+    back_off_accept();
+    return;
+  }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
@@ -240,6 +235,18 @@ void HttpLoop::on_accepted(int fd) {
     return;
   }
   open_conns_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void HttpLoop::back_off_accept() {
+  if (accept_retry_timer_ != 0) return;
+  reactor_.io().set_listener_enabled(listener_reg_, false);
+  accept_retry_timer_ =
+      reactor_.timers().add(Clock::now(), kAcceptRetrySeconds, [this] {
+        accept_retry_timer_ = 0;
+        if (!accept_paused_) {
+          reactor_.io().set_listener_enabled(listener_reg_, true);
+        }
+      });
 }
 
 void HttpLoop::on_recv(std::uint64_t token, const char* data, ssize_t n) {
@@ -413,9 +420,6 @@ bool HttpLoop::continue_write(std::uint64_t token) {
   const auto it = conns_.find(token);
   if (it == conns_.end()) return false;
   Conn* c = it->second.get();
-  // The kernel owns the front body's bytes until the SEND_ZC completion;
-  // its callback re-enters here.
-  if (c->zc_inflight) return true;
   for (;;) {
     if (c->out.empty()) {
       c->last_activity = Clock::now();
@@ -429,55 +433,38 @@ bool HttpLoop::continue_write(std::uint64_t token) {
       }
       return true;
     }
-    {
-      PendingWrite& front = c->out.front();
-      const std::size_t fhead = front.head.size();
-      // Disk extent with its head already out: ship the bytes with
-      // sendfile(2) — file to socket, never through userspace.
-      if (front.body.is_extent() && c->front_off >= fhead) {
-        bool blocked = false;
-        if (!sendfile_front(token, c, &blocked)) return false;
-        if (blocked) {
-          if (!c->writing) {
-            c->writing = true;
-            reactor_.io().request_writable(c->reg_id);
-          }
-          return true;
+    // Disk extent with its head already out: ship the bytes with
+    // sendfile(2) — file to socket, never through userspace.
+    if (c->out.front().body.is_extent() &&
+        c->front_off >= c->out.front().head.size()) {
+      bool blocked = false;
+      if (!sendfile_front(token, c, &blocked)) return false;
+      if (blocked) {
+        if (!c->writing) {
+          c->writing = true;
+          reactor_.io().request_writable(c->reg_id);
         }
-        continue;  // front advanced or fell back to RAM: reevaluate
-      }
-      // Large RAM body at the first body byte: offer it to the backend's
-      // zero-copy send (io_uring SEND_ZC). The write queue parks until the
-      // completion resumes it.
-      if (!front.body.is_extent() && c->front_off == fhead &&
-          opts_.zero_copy_min_bytes > 0 &&
-          front.body.size() >= opts_.zero_copy_min_bytes &&
-          try_send_zc(token, c)) {
         return true;
       }
+      continue;  // front advanced or fell back to RAM: reevaluate
     }
     // One gathered write covering as many queued responses as fit: head +
     // body pairs from the front of the queue, the first adjusted by
     // front_off. Bodies are never copied into a contiguous reply buffer.
-    // Gathering stops at a "special" body (disk extent, or SEND_ZC-eligible
-    // RAM buffer on a backend that has it): its head may join this batch,
-    // but the body itself must go out via its zero-copy path when it
-    // reaches the front — and nothing may be sent past skipped bytes.
+    // Gathering stops at an extent body: its head may join this batch, but
+    // the body itself goes out via sendfile when it reaches the front — and
+    // nothing may be sent past skipped bytes.
     iovec iov[kMaxWriteIov];
     std::size_t iovcnt = 0;
     std::size_t off = c->front_off;
     for (const PendingWrite& pw : c->out) {
       if (iovcnt >= kMaxWriteIov) break;
-      const bool special =
-          pw.body.is_extent() ||
-          (zc_supported_ && opts_.zero_copy_min_bytes > 0 &&
-           pw.body.size() >= opts_.zero_copy_min_bytes);
       const std::size_t head_len = pw.head.size();
       if (off < head_len) {
         iov[iovcnt].iov_base = const_cast<char*>(pw.head.data() + off);
         iov[iovcnt].iov_len = head_len - off;
         ++iovcnt;
-        if (special) break;
+        if (pw.body.is_extent()) break;
         if (iovcnt < kMaxWriteIov && !pw.body.empty()) {
           const std::string_view body = pw.body.view();
           iov[iovcnt].iov_base = const_cast<char*>(body.data());
@@ -589,53 +576,6 @@ bool HttpLoop::sendfile_front(std::uint64_t token, Conn* c, bool* blocked) {
   return true;
 }
 
-bool HttpLoop::try_send_zc(std::uint64_t token, Conn* c) {
-  if (!zc_supported_) return false;
-  PendingWrite& front = c->out.front();
-  const cache::BodyPtr& buf = front.body.shared();
-  if (!buf || buf->empty()) return false;
-  const bool taken = reactor_.io().send_zc(
-      c->reg_id, buf->data(), buf->size(), buf,
-      [this, token](ssize_t n) { on_zc_done(token, n); });
-  if (!taken) {
-    zc_supported_ = false;
-    return false;
-  }
-  c->zc_inflight = true;
-  return true;
-}
-
-void HttpLoop::on_zc_done(std::uint64_t token, ssize_t n) {
-  const auto it = conns_.find(token);
-  if (it == conns_.end()) return;
-  Conn* c = it->second.get();
-  c->zc_inflight = false;
-  if (n < 0) {
-    close_conn(token);
-    return;
-  }
-  c->last_activity = Clock::now();
-  zerocopy_sends_.fetch_add(1, std::memory_order_relaxed);
-  zerocopy_bytes_.fetch_add(static_cast<std::uint64_t>(n),
-                            std::memory_order_relaxed);
-  PendingWrite& front = c->out.front();
-  const std::size_t total =
-      front.head.size() + static_cast<std::size_t>(front.body.size());
-  c->front_off += static_cast<std::size_t>(n);
-  if (c->front_off == total) {
-    const bool close_now = front.close_after;
-    c->out.pop_front();
-    c->front_off = 0;
-    if (close_now) {
-      close_conn(token);
-      return;
-    }
-  }
-  // Short zero-copy send: the remainder (and everything queued behind it)
-  // continues through the ordinary write path.
-  continue_write(token);
-}
-
 void HttpLoop::close_conn(std::uint64_t token) {
   const auto it = conns_.find(token);
   if (it == conns_.end()) return;
@@ -675,7 +615,9 @@ void HttpLoop::resume_accept() {
   reactor_.post([this] {
     if (!accept_paused_ || listener_reg_ == 0) return;
     accept_paused_ = false;
-    reactor_.io().set_listener_enabled(listener_reg_, true);
+    if (accept_retry_timer_ == 0) {
+      reactor_.io().set_listener_enabled(listener_reg_, true);
+    }
   });
 }
 
@@ -685,6 +627,10 @@ void HttpLoop::shutdown() {
   if (sweep_timer_ != 0) {
     reactor_.timers().cancel(sweep_timer_);
     sweep_timer_ = 0;
+  }
+  if (accept_retry_timer_ != 0) {
+    reactor_.timers().cancel(accept_retry_timer_);
+    accept_retry_timer_ = 0;
   }
   if (listener_reg_ != 0) {
     reactor_.io().del_fd(listener_reg_);

@@ -1,21 +1,19 @@
-// The proxy's event-driven I/O core: a single-threaded reactor over a
-// pluggable I/O backend (io_backend.h — epoll or io_uring), a coarse hashed
-// timer wheel for deadlines, and an HTTP server harness (HttpLoop) that
-// multiplexes every inbound connection over it.
+// The proxy's event-driven I/O core: a single-threaded reactor over the
+// epoll engine (io_backend.h), a coarse hashed timer wheel for deadlines,
+// and an HTTP server harness (HttpLoop) that multiplexes every inbound
+// connection over it.
 //
 // Ownership model:
-//   - Reactor owns the IoBackend (which owns the kernel-facing machinery:
-//     the epoll instance or the io_uring rings, plus the wakeup eventfd)
-//     and the timer wheel. run() executes on exactly one thread (the "loop
-//     thread"); every callback, timer, and posted task fires there, so
-//     per-connection state needs no locks.
+//   - Reactor owns the IoBackend (the epoll instance plus the wakeup
+//     eventfd) and the timer wheel. run() executes on exactly one thread
+//     (the "loop thread"); every callback, timer, and posted task fires
+//     there, so per-connection state needs no locks.
 //   - HttpLoop owns the per-connection state machines: an incremental
 //     HttpParser, a buffered-ahead byte queue for pipelined requests, and
 //     the in-order response write queue. It borrows the listening fd (the
 //     TcpListener keeps ownership) and receives accepted fds from the
 //     backend's listener registration; bytes arrive via the backend's
-//     stream callbacks (an accept4/recv loop on epoll, multishot
-//     completions on io_uring).
+//     stream callbacks (accept4 and recv loops over epoll readiness).
 //   - The loop's contract is: parse, dispatch, write, never wait on
 //     anything but the backend. A dispatch may answer inline when the work
 //     is short and never blocks — the proxy serves RAM cache hits this way
@@ -29,7 +27,9 @@
 // (inline) or a worker (from any thread) calls respond(token, response) ->
 // responses are sequenced back into request order on the loop thread,
 // coalesced into one gathered sendmsg covering as many queued responses as
-// fit (inline responses to one parsed batch share a single flush).
+// fit (inline responses to one parsed batch share a single flush). A disk
+// extent body ends a gather: it goes out by sendfile(2) when it reaches the
+// front of the queue.
 //
 // Keep-alive: HTTP/1.0 semantics — close by default, held open when the
 // request carries "Connection: keep-alive" (the response echoes the
@@ -38,7 +38,9 @@
 //
 // Deadlines: a periodic sweep over the timer wheel closes connections that
 // have been idle (or stuck mid-message) past the idle timeout, so a wedged
-// or slow-trickling client can never pin a connection forever.
+// or slow-trickling client can never pin a connection forever. When accept
+// fails for lack of fds, the listener is disabled and retried from the
+// timer wheel instead of spinning on its level-triggered readiness.
 #pragma once
 
 #include <atomic>
@@ -105,30 +107,14 @@ class TimerWheel {
 
 class Reactor {
  public:
-  using IoFn = IoBackend::IoFn;
-
-  // Throws std::runtime_error if the backend cannot be constructed (for
-  // kIoUring that includes "this kernel cannot run it"; kAuto always
-  // succeeds by falling back to epoll).
-  explicit Reactor(IoBackendKind kind = IoBackendKind::kAuto);
-  ~Reactor();
+  // Throws std::runtime_error if the epoll engine cannot be constructed.
+  Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   // --- loop-thread-only API ---
-  // Registers `fd` for `events` (kIoReadable/kIoWritable/...); returns a
-  // handle id, 0 on failure. The callback may add/mod/del registrations
-  // freely; events for handles deleted mid-batch are dropped, and handle
-  // ids are never reused, so a recycled fd can never receive a stale event.
-  std::uint64_t add_fd(int fd, std::uint32_t events, IoFn fn);
-  bool mod_fd(std::uint64_t id, std::uint32_t events);
-  void del_fd(std::uint64_t id);
-
-  // The backend, for listener/stream registrations (HttpLoop) and stats.
-  IoBackend& io() { return *backend_; }
-  const char* backend_name() const { return backend_->name(); }
-  IoBackend::Stats io_stats() const { return backend_->stats(); }
-
+  // The engine, for listener/stream registrations (HttpLoop).
+  IoBackend& io() { return backend_; }
   TimerWheel& timers() { return timers_; }
 
   // --- any-thread API ---
@@ -147,7 +133,7 @@ class Reactor {
   }
 
  private:
-  std::unique_ptr<IoBackend> backend_;
+  IoBackend backend_;
   TimerWheel timers_;
 
   std::mutex tasks_mu_;
@@ -169,11 +155,6 @@ class HttpLoop {
     // on one connection. Further pipelined bytes stay in the buffer until
     // responses drain.
     std::size_t max_pipeline = 16;
-    // RAM bodies at least this large go out via the backend's zero-copy
-    // send (io_uring SEND_ZC) when it has one; smaller bodies aren't worth
-    // the two-completion round trip. Extent (disk) bodies always use
-    // sendfile regardless of size. 0 disables zero-copy RAM sends.
-    std::uint64_t zero_copy_min_bytes = 64ULL << 10;
   };
 
   // `dispatch` runs on the loop thread with each complete request; it must
@@ -194,7 +175,8 @@ class HttpLoop {
 
   // Flow control: stop/resume accepting new connections (backpressure when
   // the worker queue is full). pause is loop-thread-only; resume may be
-  // called from any thread.
+  // called from any thread. While an out-of-fds backoff is pending, resume
+  // leaves the listener to the backoff's retry.
   void pause_accept();
   void resume_accept();
 
@@ -207,8 +189,8 @@ class HttpLoop {
   }
 
   // Zero-copy transmission counters (`bh.proxy.zerocopy_sends` /
-  // `bh.proxy.bytes_zerocopy`): bodies that left via sendfile(2) or
-  // SEND_ZC, i.e. without a userspace copy into the socket.
+  // `bh.proxy.bytes_zerocopy`): extent bodies that left via sendfile(2),
+  // i.e. without a userspace copy into the socket.
   std::uint64_t zerocopy_sends() const {
     return zerocopy_sends_.load(std::memory_order_relaxed);
   }
@@ -249,9 +231,6 @@ class HttpLoop {
     std::size_t front_off = 0;
     bool writing = false;  // writability notification armed after EAGAIN
     bool in_pump = false;  // defer write kicks so one flush covers the batch
-    // A SEND_ZC is in flight: the write queue must not advance (the kernel
-    // owns the front body's bytes) until its completion re-enters the pump.
-    bool zc_inflight = false;
     std::chrono::steady_clock::time_point last_activity;
 
     explicit Conn(HttpParser::Limits limits)
@@ -273,6 +252,9 @@ class HttpLoop {
   // any step that writes or dispatches can close the connection under the
   // caller's feet; a dangling Conn* is never held across such a step.
   void on_accepted(int fd);
+  // accept4 ran out of fds: disable the listener and re-enable it from the
+  // timer wheel, unless backpressure still holds it paused.
+  void back_off_accept();
   void on_recv(std::uint64_t token, const char* data, ssize_t n);
   // Runs buffered bytes through the parser, dispatching every complete
   // request (parse-ahead) up to max_pipeline; flushes coalesced writes once
@@ -289,12 +271,6 @@ class HttpLoop {
   // continue_write outcome contract: advanced/EAGAIN → true, conn gone →
   // false; sets *blocked when the socket is full.
   bool sendfile_front(std::uint64_t token, Conn* c, bool* blocked);
-  // Tries to hand the front entry's RAM body to the backend's zero-copy
-  // send; true when the backend took it (write queue parks until the
-  // completion callback).
-  bool try_send_zc(std::uint64_t token, Conn* c);
-  // SEND_ZC result completion: advances the write queue and resumes it.
-  void on_zc_done(std::uint64_t token, ssize_t n);
   void close_conn(std::uint64_t token);
   void sweep_idle();
   void schedule_sweep();
@@ -305,7 +281,8 @@ class HttpLoop {
   Dispatch dispatch_;
   std::uint64_t listener_reg_ = 0;
   std::uint64_t sweep_timer_ = 0;
-  bool accept_paused_ = false;
+  std::uint64_t accept_retry_timer_ = 0;  // pending out-of-fds backoff
+  bool accept_paused_ = false;            // backpressure
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::unordered_map<std::uint64_t, ReqSlot> reqs_;
   std::uint64_t next_token_ = 1;      // connection tokens
@@ -313,9 +290,6 @@ class HttpLoop {
   std::atomic<std::size_t> open_conns_{0};
   std::atomic<std::uint64_t> zerocopy_sends_{0};
   std::atomic<std::uint64_t> zerocopy_bytes_{0};
-  // Cleared the first time the backend declines send_zc (epoll always
-  // does); from then on large RAM bodies gather into sendmsg like any other.
-  bool zc_supported_ = true;
   bool shut_down_ = false;
 };
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <span>
@@ -20,7 +19,6 @@
 #include "proto/wire.h"
 #include "proxy/fault_injector.h"
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 #include "proxy/origin_server.h"
 #include "proxy/proxy_server.h"
 
@@ -194,36 +192,6 @@ TEST(ProxyServerTest, MissThenLocalHit) {
   EXPECT_EQ(counter(proxy, "requests"), 2u);
   EXPECT_EQ(counter(proxy, "local_hits"), 1u);
   EXPECT_EQ(counter(proxy, "origin_fetches"), 1u);
-}
-
-// The full proxy-and-origin data path on each explicitly selected I/O
-// backend: same requests, same cache behavior, regardless of how bytes move.
-TEST(ProxyServerTest, ServesIdenticallyOnEveryBackend) {
-  std::vector<IoBackendKind> kinds{IoBackendKind::kEpoll};
-  std::string why;
-  if (io_uring_supported(&why)) {
-    kinds.push_back(IoBackendKind::kIoUring);
-  } else {
-    std::fprintf(stderr, "io_uring unavailable (%s): backend sweep is epoll only\n",
-                 why.c_str());
-  }
-  for (const IoBackendKind kind : kinds) {
-    SCOPED_TRACE(io_backend_kind_name(kind));
-    OriginServer origin(kind);
-    ProxyConfig cfg;
-    cfg.origin_port = origin.port();
-    cfg.io_backend = kind;
-    ProxyServer proxy(cfg);
-
-    const ObjectId id{71};
-    auto first = fetch(proxy.port(), id, 100);
-    EXPECT_EQ(first.status, 200);
-    EXPECT_EQ(first.cache, "MISS");
-    EXPECT_EQ(first.body, origin_body(id, 1, 100));
-    auto second = fetch(proxy.port(), id, 100);
-    EXPECT_EQ(second.cache, "HIT");
-    EXPECT_EQ(second.body, first.body);
-  }
 }
 
 TEST(ProxyServerTest, HintEnablesCacheToCacheTransfer) {

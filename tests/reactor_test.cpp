@@ -1,27 +1,29 @@
 // Tests for the reactor core: the timer wheel's ordering and cancellation,
-// the loop's cross-thread post/wakeup contract, and the HttpLoop connection
+// the loop's cross-thread post/wakeup contract, the HttpLoop connection
 // state machine (keep-alive, pipelining, 400-on-junk) driven over real
-// loopback sockets. Everything that touches the loop runs against every
-// available I/O backend (epoll always; io_uring when the kernel supports
-// it), so both implementations are held to the same observable contract.
+// loopback sockets, accept backoff when the process runs out of fds, and
+// the outbound connection pool.
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
+#include <arpa/inet.h>
+#include <errno.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "proxy/conn_pool.h"
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 #include "proxy/reactor.h"
 #include "proxy/socket.h"
 
@@ -29,48 +31,6 @@ namespace bh::proxy {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// The backends available on this machine. Epoll always works; io_uring is
-// probed once, and when absent the suite says so explicitly rather than
-// silently shrinking.
-std::vector<IoBackendKind> test_backends() {
-  std::vector<IoBackendKind> kinds{IoBackendKind::kEpoll};
-  std::string why;
-  if (io_uring_supported(&why)) {
-    kinds.push_back(IoBackendKind::kIoUring);
-  } else {
-    static const bool logged = [&why] {
-      std::fprintf(stderr,
-                   "io_uring unavailable (%s): reactor tests run on epoll "
-                   "only\n",
-                   why.c_str());
-      return true;
-    }();
-    (void)logged;
-  }
-  return kinds;
-}
-
-class BackendParamTest : public ::testing::TestWithParam<IoBackendKind> {};
-
-using ReactorBackendTest = BackendParamTest;
-using HttpLoopBackendTest = BackendParamTest;
-using ConnectionPoolBackendTest = BackendParamTest;
-
-std::string backend_param_name(
-    const ::testing::TestParamInfo<IoBackendKind>& info) {
-  return io_backend_kind_name(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
-INSTANTIATE_TEST_SUITE_P(Backends, HttpLoopBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
-INSTANTIATE_TEST_SUITE_P(Backends, ConnectionPoolBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
 
 TEST(TimerWheelTest, FiresInDueOrder) {
   TimerWheel wheel(/*tick_seconds=*/0.001, /*slots=*/16);
@@ -141,8 +101,8 @@ TEST(TimerWheelTest, CallbackMayRescheduleItself) {
   EXPECT_EQ(fires, 3);
 }
 
-TEST_P(ReactorBackendTest, PostRunsOnLoopThreadAndStopExits) {
-  Reactor reactor(GetParam());
+TEST(ReactorTest, PostRunsOnLoopThreadAndStopExits) {
+  Reactor reactor;
   std::thread loop([&] { reactor.run(); });
 
   std::atomic<bool> ran{false};
@@ -164,8 +124,8 @@ TEST_P(ReactorBackendTest, PostRunsOnLoopThreadAndStopExits) {
   loop.join();
 }
 
-TEST_P(ReactorBackendTest, TimersFireOnTheLoop) {
-  Reactor reactor(GetParam());
+TEST(ReactorTest, TimersFireOnTheLoop) {
+  Reactor reactor;
   std::thread loop([&] { reactor.run(); });
   std::atomic<int> fired{0};
   reactor.post([&] {
@@ -186,10 +146,10 @@ TEST_P(ReactorBackendTest, TimersFireOnTheLoop) {
 // which response.
 class EchoServer {
  public:
-  explicit EchoServer(IoBackendKind backend = IoBackendKind::kEpoll) {
+  EchoServer() {
     listener_ = TcpListener::bind_ephemeral();
     EXPECT_TRUE(listener_.has_value());
-    reactor_ = std::make_unique<Reactor>(backend);
+    reactor_ = std::make_unique<Reactor>();
     HttpLoop::Options opts;
     opts.idle_timeout_seconds = 30.0;
     loop_ = std::make_unique<HttpLoop>(
@@ -211,6 +171,7 @@ class EchoServer {
 
   std::uint16_t port() const { return listener_->port(); }
   std::size_t open_connections() const { return loop_->open_connections(); }
+  std::uint64_t iterations() const { return reactor_->iterations(); }
 
  private:
   std::optional<TcpListener> listener_;
@@ -219,8 +180,8 @@ class EchoServer {
   std::thread thread_;
 };
 
-TEST_P(HttpLoopBackendTest, KeepAliveServesManyExchangesOnOneConnection) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, KeepAliveServesManyExchangesOnOneConnection) {
+  EchoServer server;
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   for (int i = 0; i < 10; ++i) {
@@ -242,8 +203,8 @@ TEST_P(HttpLoopBackendTest, KeepAliveServesManyExchangesOnOneConnection) {
   EXPECT_EQ(server.open_connections(), 1u);
 }
 
-TEST_P(HttpLoopBackendTest, WithoutKeepAliveServerCloses) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, WithoutKeepAliveServerCloses) {
+  EchoServer server;
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   HttpRequest req;
@@ -257,8 +218,8 @@ TEST_P(HttpLoopBackendTest, WithoutKeepAliveServerCloses) {
   EXPECT_EQ(resp->header("Connection").value_or(""), "close");
 }
 
-TEST_P(HttpLoopBackendTest, PipelinedRequestsAnsweredInOrder) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, PipelinedRequestsAnsweredInOrder) {
+  EchoServer server;
   auto stream = TcpStream::connect(server.port(), 1.0);
   ASSERT_TRUE(stream.has_value());
 
@@ -304,10 +265,10 @@ TEST_P(HttpLoopBackendTest, PipelinedRequestsAnsweredInOrder) {
 // Responses released out of request order (worst case: all in reverse) must
 // still reach the wire in request order — the loop's sequencing, not the
 // responder's timing, decides the output order.
-TEST_P(HttpLoopBackendTest, OutOfOrderRespondsAreResequenced) {
+TEST(HttpLoopTest, OutOfOrderRespondsAreResequenced) {
   std::optional<TcpListener> listener = TcpListener::bind_ephemeral();
   ASSERT_TRUE(listener.has_value());
-  Reactor reactor(GetParam());
+  Reactor reactor;
   std::vector<std::pair<std::uint64_t, std::string>> parked;
   std::unique_ptr<HttpLoop> loop;
   loop = std::make_unique<HttpLoop>(
@@ -364,8 +325,8 @@ TEST_P(HttpLoopBackendTest, OutOfOrderRespondsAreResequenced) {
   loop->shutdown();
 }
 
-TEST_P(HttpLoopBackendTest, MalformedRequestGets400AndClose) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, MalformedRequestGets400AndClose) {
+  EchoServer server;
   auto stream = TcpStream::connect(server.port(), 1.0);
   ASSERT_TRUE(stream.has_value());
   ASSERT_TRUE(stream->write_all("this is not http\r\n\r\n"));
@@ -377,10 +338,10 @@ TEST_P(HttpLoopBackendTest, MalformedRequestGets400AndClose) {
   EXPECT_EQ(resp->header("Connection").value_or(""), "close");
 }
 
-TEST_P(HttpLoopBackendTest, IdleConnectionsAreSweptOut) {
+TEST(HttpLoopTest, IdleConnectionsAreSweptOut) {
   std::optional<TcpListener> listener = TcpListener::bind_ephemeral();
   ASSERT_TRUE(listener.has_value());
-  Reactor reactor(GetParam());
+  Reactor reactor;
   HttpLoop::Options opts;
   opts.idle_timeout_seconds = 0.2;  // sweep interval floors at 50 ms
   HttpLoop loop(reactor, listener->fd(), opts,
@@ -411,8 +372,65 @@ TEST_P(HttpLoopBackendTest, IdleConnectionsAreSweptOut) {
   loop.shutdown();
 }
 
-TEST_P(ConnectionPoolBackendTest, PooledCallReusesParkedConnection) {
-  EchoServer server(GetParam());
+// Out of fds, accept4 fails with EMFILE and leaves the connection queued,
+// so the level-triggered listener stays readable. The loop must back off
+// instead of waking for it again at once, and serve the connection once
+// fds are free.
+TEST(HttpLoopTest, AcceptBacksOffWhenFdsRunOut) {
+  EchoServer server;
+  // Both fds exist before the table fills: connect() itself needs none.
+  Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(client.valid());
+  const int spare = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(spare, 0);
+
+  // Each test runs in its own process, so the lowered limit stays here.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> hogs;
+  for (int fd = ::dup(spare); fd >= 0; fd = ::dup(spare)) hogs.push_back(fd);
+  ASSERT_EQ(errno, EMFILE);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(client.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t before = server.iterations();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t wakeups = server.iterations() - before;
+  EXPECT_EQ(server.open_connections(), 0u);
+
+  for (const int fd : hogs) ::close(fd);
+  ::close(spare);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  // A spinning loop wakes hundreds of thousands of times in 300 ms; the
+  // retry timer wakes it a handful.
+  EXPECT_LT(wakeups, 1000u);
+
+  TcpStream stream(std::move(client));
+  ASSERT_TRUE(stream.set_timeout(5.0));
+  HttpRequest req;
+  req.method = "POST";
+  req.target = "/after";
+  req.body = "fds";
+  ASSERT_TRUE(stream.write_all(serialize(req)));
+  const auto raw = stream.read_to_end();
+  ASSERT_TRUE(raw.has_value());
+  const auto resp = parse_response(*raw);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 200);
+  EXPECT_EQ(resp->body, "sdf");
+}
+
+TEST(ConnectionPoolTest, PooledCallReusesParkedConnection) {
+  EchoServer server;
   ConnectionPool pool;
   HttpRequest req;
   req.method = "POST";
@@ -435,12 +453,12 @@ TEST_P(ConnectionPoolBackendTest, PooledCallReusesParkedConnection) {
   EXPECT_EQ(server.open_connections(), 1u);
 }
 
-TEST_P(ConnectionPoolBackendTest, StaleParkedConnectionRetriesFresh) {
+TEST(ConnectionPoolTest, StaleParkedConnectionRetriesFresh) {
   ConnectionPool pool;
   std::uint16_t port = 0;
   {
     // Park a connection, then kill the server: the parked stream is stale.
-    EchoServer server(GetParam());
+    EchoServer server;
     port = server.port();
     HttpRequest req;
     req.method = "GET";
@@ -461,13 +479,13 @@ TEST_P(ConnectionPoolBackendTest, StaleParkedConnectionRetriesFresh) {
   EXPECT_EQ(pool.idle_count(), 0u);
 }
 
-TEST_P(ConnectionPoolBackendTest, BoundAndIdleTimeoutEnforced) {
+TEST(ConnectionPoolTest, BoundAndIdleTimeoutEnforced) {
   ConnectionPool::Options popts;
   popts.max_idle_per_peer = 2;
   popts.idle_timeout_seconds = 0.05;
   ConnectionPool pool(popts);
 
-  EchoServer server(GetParam());
+  EchoServer server;
   // Park three connections; the bound keeps two.
   std::vector<ClientConnection> conns;
   for (int i = 0; i < 3; ++i) {
@@ -487,70 +505,6 @@ TEST_P(ConnectionPoolBackendTest, BoundAndIdleTimeoutEnforced) {
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   EXPECT_FALSE(pool.acquire(server.port()).has_value());
   EXPECT_EQ(pool.idle_count(), 0u);
-}
-
-// --- backend selection ---
-
-class IoBackendSelectionTest : public ::testing::Test {
- protected:
-  void TearDown() override { ::unsetenv("BH_DISABLE_IO_URING"); }
-};
-
-TEST_F(IoBackendSelectionTest, ParseNames) {
-  EXPECT_EQ(parse_io_backend("auto"), IoBackendKind::kAuto);
-  EXPECT_EQ(parse_io_backend("epoll"), IoBackendKind::kEpoll);
-  EXPECT_EQ(parse_io_backend("io_uring"), IoBackendKind::kIoUring);
-  EXPECT_EQ(parse_io_backend("uring"), IoBackendKind::kIoUring);
-  EXPECT_FALSE(parse_io_backend("kqueue").has_value());
-  EXPECT_FALSE(parse_io_backend("").has_value());
-}
-
-TEST_F(IoBackendSelectionTest, AutoFallsBackToEpollWhenProbeFails) {
-  // BH_DISABLE_IO_URING simulates a kernel without io_uring; `auto` must
-  // still bring up a working loop, on epoll.
-  ::setenv("BH_DISABLE_IO_URING", "1", 1);
-  std::string why;
-  EXPECT_FALSE(io_uring_supported(&why));
-  EXPECT_NE(why.find("BH_DISABLE_IO_URING"), std::string::npos) << why;
-  Reactor reactor(IoBackendKind::kAuto);
-  EXPECT_STREQ(reactor.backend_name(), "epoll");
-}
-
-TEST_F(IoBackendSelectionTest, DisableEnvZeroMeansEnabled) {
-  ::setenv("BH_DISABLE_IO_URING", "0", 1);
-  std::string why;
-  // "0" does not disable; the result is whatever the kernel probe says
-  // (and the reason string, if unsupported, names the kernel, not the env).
-  if (!io_uring_supported(&why)) {
-    EXPECT_EQ(why.find("BH_DISABLE_IO_URING"), std::string::npos) << why;
-  }
-}
-
-TEST_F(IoBackendSelectionTest, ExplicitIoUringErrorsCleanlyWhenUnsupported) {
-  ::setenv("BH_DISABLE_IO_URING", "1", 1);
-  try {
-    Reactor reactor(IoBackendKind::kIoUring);
-    FAIL() << "expected construction to throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("io_uring"), std::string::npos);
-  }
-}
-
-TEST_F(IoBackendSelectionTest, ExplicitEpollIsAlwaysHonored) {
-  Reactor reactor(IoBackendKind::kEpoll);
-  EXPECT_STREQ(reactor.backend_name(), "epoll");
-}
-
-TEST_F(IoBackendSelectionTest, UringBackendReportsItsName) {
-  std::string why;
-  if (!io_uring_supported(&why)) {
-    GTEST_SKIP() << "io_uring unavailable: " << why;
-  }
-  Reactor reactor(IoBackendKind::kIoUring);
-  EXPECT_STREQ(reactor.backend_name(), "io_uring");
-  // A fresh loop has made no submissions yet; stats start at zero.
-  const IoBackend::Stats stats = reactor.io_stats();
-  EXPECT_EQ(stats.submit_calls, 0u);
 }
 
 }  // namespace

@@ -2,17 +2,16 @@
 // sharded cache (RAM hits never copy), extent bodies served via sendfile(2)
 // with partial-send resume, fd-refcount lifetime (an unlinked file still
 // serves while an extent is in flight), and peer-close robustness
-// mid-transfer. Everything that touches the loop runs against every
-// available I/O backend, same as reactor_test.
+// mid-transfer, and the gather boundary an extent body puts into a
+// pipelined run of RAM bodies.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +21,6 @@
 #include "cache/body.h"
 #include "cache/sharded_lru.h"
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 #include "proxy/reactor.h"
 #include "proxy/socket.h"
 
@@ -33,35 +31,6 @@ using Clock = std::chrono::steady_clock;
 using cache::Body;
 using cache::BodyPtr;
 using cache::FdRef;
-
-std::vector<IoBackendKind> test_backends() {
-  std::vector<IoBackendKind> kinds{IoBackendKind::kEpoll};
-  std::string why;
-  if (io_uring_supported(&why)) {
-    kinds.push_back(IoBackendKind::kIoUring);
-  } else {
-    static const bool logged = [&why] {
-      std::fprintf(stderr,
-                   "io_uring unavailable (%s): zerocopy tests run on epoll "
-                   "only\n",
-                   why.c_str());
-      return true;
-    }();
-    (void)logged;
-  }
-  return kinds;
-}
-
-class ZeroCopyBackendTest : public ::testing::TestWithParam<IoBackendKind> {};
-
-std::string backend_param_name(
-    const ::testing::TestParamInfo<IoBackendKind>& info) {
-  return io_backend_kind_name(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ZeroCopyBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
 
 std::string pattern_body(std::size_t n) {
   std::string s(n, '\0');
@@ -80,12 +49,10 @@ struct ExtentFixture {
   static std::optional<ExtentFixture> create(const std::string& name,
                                              const std::string& bytes) {
     ExtentFixture fx;
-    // One file per test, parameter included: ctest runs the backend
-    // variants as parallel processes, and one must not truncate the file
-    // the other is still sending.
-    std::string test =
+    // One file per test: ctest runs tests as parallel processes, and one
+    // must not truncate the file another is still sending.
+    const std::string test =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::replace(test.begin(), test.end(), '/', '_');
     fx.path = ::testing::TempDir() + "/bh_zc_" + name + "_" + test;
     const int wfd =
         ::open(fx.path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
@@ -107,22 +74,26 @@ struct ExtentFixture {
   }
 };
 
-// Serves one fixed Body for every request, on a real loop.
+// Serves, on a real loop, the Body that `route` picks for each request
+// target — or one fixed Body for every request.
 class BodyServer {
  public:
-  BodyServer(IoBackendKind backend, Body body, std::uint64_t zc_min_bytes = 0) {
+  using Route = std::function<Body(const std::string& target)>;
+
+  explicit BodyServer(Body body)
+      : BodyServer(Route([body](const std::string&) { return body; })) {}
+
+  explicit BodyServer(Route route) {
     listener_ = TcpListener::bind_ephemeral();
     EXPECT_TRUE(listener_.has_value());
-    reactor_ = std::make_unique<Reactor>(backend);
+    reactor_ = std::make_unique<Reactor>();
     HttpLoop::Options opts;
     opts.idle_timeout_seconds = 30.0;
-    if (zc_min_bytes != 0) opts.zero_copy_min_bytes = zc_min_bytes;
     loop_ = std::make_unique<HttpLoop>(
         *reactor_, listener_->fd(), opts,
-        [this, body](std::uint64_t token, HttpRequest req) {
-          (void)req;
+        [this, route](std::uint64_t token, HttpRequest req) {
           HttpResponse resp;
-          resp.body = body;
+          resp.body = route(req.target);
           loop_->respond(token, std::move(resp));
         });
     thread_ = std::thread([this] { reactor_->run(); });
@@ -224,11 +195,11 @@ TEST(BodyTest, FdRefClosesOnLastRelease) {
 
 // --- the serve path: sendfile, resume, lifetime, robustness ---
 
-TEST_P(ZeroCopyBackendTest, ExtentBodyServedWholeViaSendfile) {
+TEST(ZeroCopySendTest, ExtentBodyServedWholeViaSendfile) {
   const std::string bytes = pattern_body(256 * 1024);
   auto fx = ExtentFixture::create("serve", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
 
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
@@ -244,14 +215,14 @@ TEST_P(ZeroCopyBackendTest, ExtentBodyServedWholeViaSendfile) {
   EXPECT_GE(server.loop().zerocopy_bytes(), bytes.size());
 }
 
-TEST_P(ZeroCopyBackendTest, PartialSendfileResumesAfterEagain) {
+TEST(ZeroCopySendTest, PartialSendfileResumesAfterEagain) {
   // A multi-megabyte extent against a client that drains slowly: the socket
   // buffer fills, sendfile returns EAGAIN mid-body, and the loop must
   // resume from the exact file offset when the peer catches up.
   const std::string bytes = pattern_body(4 * 1024 * 1024);
   auto fx = ExtentFixture::create("resume", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
 
   auto stream = TcpStream::connect(server.port(), 5.0);
   ASSERT_TRUE(stream.has_value());
@@ -280,13 +251,13 @@ TEST_P(ZeroCopyBackendTest, PartialSendfileResumesAfterEagain) {
   EXPECT_EQ(got.substr(hdr_end + 4), bytes);
 }
 
-TEST_P(ZeroCopyBackendTest, UnlinkedFileStillServesInFlightExtent) {
+TEST(ZeroCopySendTest, UnlinkedFileStillServesInFlightExtent) {
   // POSIX: the open fd pins the inode. Unlinking the file after the
   // response was queued must not corrupt or truncate the transfer.
   const std::string bytes = pattern_body(512 * 1024);
   auto fx = ExtentFixture::create("unlink", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
   ASSERT_EQ(::unlink(fx->path.c_str()), 0);
   fx->fd.reset();  // the Body inside the server holds the only reference
 
@@ -300,11 +271,11 @@ TEST_P(ZeroCopyBackendTest, UnlinkedFileStillServesInFlightExtent) {
   EXPECT_EQ(resp->body, bytes);
 }
 
-TEST_P(ZeroCopyBackendTest, PeerCloseMidTransferIsCleanedUp) {
+TEST(ZeroCopySendTest, PeerCloseMidTransferIsCleanedUp) {
   const std::string bytes = pattern_body(4 * 1024 * 1024);
   auto fx = ExtentFixture::create("abort", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
 
   {
     auto stream = TcpStream::connect(server.port(), 5.0);
@@ -324,13 +295,12 @@ TEST_P(ZeroCopyBackendTest, PeerCloseMidTransferIsCleanedUp) {
   EXPECT_EQ(resp->body, bytes);
 }
 
-TEST_P(ZeroCopyBackendTest, LargeSharedBufferServedIntact) {
-  // Above zero_copy_min_bytes the RAM path goes SEND_ZC on io_uring and a
-  // plain gather on epoll; both must deliver byte-exact bodies, repeatedly,
-  // on one keep-alive connection (notification ordering exercised).
+TEST(ZeroCopySendTest, LargeSharedBufferServedIntact) {
+  // A RAM body far larger than the socket buffer goes out by gathered
+  // writes resumed mid-body; it must arrive byte-exact, repeatedly, on one
+  // keep-alive connection.
   const std::string bytes = pattern_body(1 * 1024 * 1024);
-  BodyServer server(GetParam(), Body(std::string(bytes)),
-                    /*zc_min_bytes=*/64 * 1024);
+  BodyServer server{Body(std::string(bytes))};
 
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
@@ -342,17 +312,13 @@ TEST_P(ZeroCopyBackendTest, LargeSharedBufferServedIntact) {
     ASSERT_TRUE(resp.has_value()) << "exchange " << i;
     EXPECT_EQ(resp->body, bytes);
   }
-  if (GetParam() == IoBackendKind::kIoUring) {
-    EXPECT_GE(server.loop().zerocopy_sends(), 1u);
-  }
+  EXPECT_EQ(server.loop().zerocopy_sends(), 0u);
 }
 
-TEST_P(ZeroCopyBackendTest, SmallBodiesStayOnTheGatherPath) {
-  // Below the threshold nothing special happens — and the zerocopy
-  // counters say so.
+TEST(ZeroCopySendTest, SmallBodiesStayOnTheGatherPath) {
+  // RAM bodies never leave by sendfile — and the zerocopy counters say so.
   const std::string bytes = pattern_body(512);
-  BodyServer server(GetParam(), Body(std::string(bytes)),
-                    /*zc_min_bytes=*/64 * 1024);
+  BodyServer server{Body(std::string(bytes))};
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   HttpRequest req;
@@ -362,6 +328,69 @@ TEST_P(ZeroCopyBackendTest, SmallBodiesStayOnTheGatherPath) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->body, bytes);
   EXPECT_EQ(server.loop().zerocopy_sends(), 0u);
+}
+
+TEST(ZeroCopySendTest, ExtentBetweenPipelinedRamBodiesKeepsOrder) {
+  // Four pipelined requests on one keep-alive connection, answered inline
+  // in one parse batch: a small RAM body, an extent, a 1 MB RAM body and
+  // another small RAM body. The gather must stop at the extent's head, the
+  // extent must go out by sendfile, and the gathers either side of it must
+  // not reorder or skip a byte.
+  const std::string extent_bytes = pattern_body(256 * 1024);
+  auto fx = ExtentFixture::create("mixed", extent_bytes);
+  ASSERT_TRUE(fx.has_value());
+  const std::vector<std::pair<std::string, std::string>> expected{
+      {"/small-a", pattern_body(300)},
+      {"/extent", extent_bytes},
+      {"/big", pattern_body(1024 * 1024)},
+      {"/small-b", "last body"},
+  };
+  BodyServer server(BodyServer::Route([&](const std::string& target) {
+    if (target == "/extent") {
+      return Body::extent(fx->fd, 0, extent_bytes.size());
+    }
+    for (const auto& [path, bytes] : expected) {
+      if (path == target) return Body(std::string(bytes));
+    }
+    return Body(std::string("unknown"));
+  }));
+
+  auto stream = TcpStream::connect(server.port(), 5.0);
+  ASSERT_TRUE(stream.has_value());
+  std::string wire;
+  for (const auto& [path, bytes] : expected) {
+    HttpRequest req;
+    req.method = "GET";
+    req.target = path;
+    req.headers.emplace_back("Connection", "keep-alive");
+    wire += serialize(req);
+  }
+  ASSERT_TRUE(stream->write_all(wire));
+
+  HttpParser parser(HttpParser::Kind::kResponse);
+  std::string pending;
+  std::size_t got = 0;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (got < expected.size() && Clock::now() < deadline) {
+    if (pending.empty()) {
+      auto chunk = stream->read_some(1 << 16);
+      ASSERT_TRUE(chunk.has_value());
+      ASSERT_FALSE(chunk->empty()) << "server closed early";
+      pending += *chunk;
+    }
+    const std::size_t used = parser.feed(pending);
+    pending.erase(0, used);
+    ASSERT_FALSE(parser.failed());
+    if (parser.complete()) {
+      EXPECT_EQ(parser.response().body, expected[got].second)
+          << "response " << got << " (" << expected[got].first << ")";
+      parser.reset();
+      ++got;
+    }
+  }
+  EXPECT_EQ(got, expected.size());
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(server.loop().zerocopy_sends(), 1u);
 }
 
 }  // namespace
