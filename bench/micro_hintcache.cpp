@@ -6,7 +6,6 @@
 #include "micro_util.h"
 
 #include "cache/lru_cache.h"
-#include "common/md5.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "hints/hint_cache.h"
@@ -58,9 +57,10 @@ void BM_HintCacheInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_HintCacheInsert);
 
-// The unbounded store behind the "infinite hint cache" runs, churned the way
-// the metadata hierarchy churns a leaf: over 64K object ids, half lookups, a
-// quarter inserts (new hint or moved hint) and a quarter erases.
+// The unbounded store (simulated client hint caches, unlimited daemon
+// stores), churned the way the metadata hierarchy churns a leaf: over 64K
+// object ids, half lookups, a quarter inserts (new hint or moved hint) and a
+// quarter erases.
 void BM_UnboundedHintStoreChurn(benchmark::State& state) {
   constexpr std::size_t kIds = 64 << 10;
   hints::UnboundedHintStore store;
@@ -221,14 +221,6 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
-
-void BM_Md5Url(benchmark::State& state) {
-  const std::string url = "http://www.cs.utexas.edu/users/dahlin/papers/";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(object_id_from_url(url));
-  }
-}
-BENCHMARK(BM_Md5Url);
 
 void BM_WireEncodeDecodeBatch(benchmark::State& state) {
   std::vector<proto::HintUpdate> batch;

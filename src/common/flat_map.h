@@ -1,10 +1,10 @@
 // Open-addressing hash map from a 64-bit id to a value.
 //
-// The simulator's per-object indexes (leaf hint stores, the metadata
-// hierarchy's L2/root state, the LRU index) churn through millions of
-// short-lived entries. A node-based std::unordered_map pays an allocation per
-// insert, a free per erase and a pointer chase per probe; this table keeps
-// every entry inline in one power-of-two array:
+// The simulator's per-object indexes (the metadata hierarchy's row indexes,
+// the LRU index) churn through millions of short-lived entries. A node-based
+// std::unordered_map pays an allocation per insert, a free per erase and a
+// pointer chase per probe; this table keeps every entry inline in one
+// power-of-two array:
 //
 // - the home slot of a key is mix64(key) & mask; collisions probe linearly;
 // - the array doubles before its load passes 3/4: a miss's expected probe

@@ -9,9 +9,12 @@
 // least recently touched record (the prototype's "preferentially cache
 // recently updated entries" mechanism).
 //
-// UnboundedHintStore backs the "infinite hint cache" points of Figures 5/6;
-// it is a flat open-addressing table (common/flat_map.h), since every L1 in
-// the simulated hierarchy holds one and hint churn is the replay hot path.
+// UnboundedHintStore is an infinite hint cache in a flat open-addressing
+// table (common/flat_map.h): a daemon's striped store with unlimited
+// capacity, a simulated client's hint cache. The simulated L1s' infinite
+// hint caches (Figures 5/6) live instead in their L2 group's rows in the
+// metadata hierarchy (metadata_hierarchy.h), where one fan-out touches one
+// row.
 #pragma once
 
 #include <cstdint>

@@ -1,18 +1,133 @@
 #include "hints/metadata_hierarchy.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace bh::hints {
 
+// ---------------------------------------------------------------------------
+// Row tables
+// ---------------------------------------------------------------------------
+
+std::uint32_t* MetadataHierarchy::RowTable::get(ObjectId id) {
+  auto [r, added] = index_.try_emplace(id.value);
+  if (!added) return row_at(*r);
+  if (free_.empty()) {
+    *r = static_cast<std::uint32_t>(rows_allocated());
+    slab_.resize(slab_.size() + width_);
+  } else {
+    *r = free_.back();
+    free_.pop_back();
+  }
+  std::uint32_t* row = row_at(*r);
+  std::fill(row, row + width_, kInvalidNode);
+  row[kLiveReps] = 0;
+  row[kLiveHints] = 0;
+  row[kEntry] = 0;
+  return row;
+}
+
+void MetadataHierarchy::RowTable::release(ObjectId id) {
+  const std::uint32_t* r = index_.find(id.value);
+  if (r == nullptr) return;
+  free_.push_back(*r);
+  index_.erase(id.value);
+}
+
+NodeIndex MetadataHierarchy::RowTable::first_rep(std::uint32_t* row) const {
+  const std::uint32_t* reps = this->reps(row);
+  for (std::uint32_t s = 0; s < slots_; ++s) {
+    if (reps[s] != kInvalidNode) return reps[s];
+  }
+  return kInvalidNode;
+}
+
+class MetadataHierarchy::LeafView final : public HintStore {
+ public:
+  LeafView(RowTable& rows, std::uint32_t slot) : rows_(rows), slot_(slot) {}
+
+  std::optional<MachineId> lookup(ObjectId id) override {
+    std::uint32_t* row = rows_.find(id);
+    if (row == nullptr) return std::nullopt;
+    const NodeIndex hint = rows_.hints(row)[slot_];
+    if (hint == kInvalidNode) return std::nullopt;
+    return machine_of_node(hint);
+  }
+
+  void insert(ObjectId id, MachineId loc) override {
+    std::uint32_t* row = rows_.get(id);
+    NodeIndex& hint = rows_.hints(row)[slot_];
+    if (hint == kInvalidNode) {
+      ++row[RowTable::kLiveHints];
+      ++count_;
+    }
+    hint = node_of_machine(loc);
+  }
+
+  bool erase(ObjectId id) override {
+    std::uint32_t* row = rows_.find(id);
+    if (row == nullptr) return false;
+    NodeIndex& hint = rows_.hints(row)[slot_];
+    if (hint == kInvalidNode) return false;
+    hint = kInvalidNode;
+    --row[RowTable::kLiveHints];
+    --count_;
+    rows_.release_if_unused(id, row);
+    return true;
+  }
+
+  std::size_t entry_count() const override { return count_; }
+
+  void for_each(
+      const std::function<void(ObjectId, MachineId)>& fn) const override {
+    rows_.for_each([&](ObjectId id, const std::uint32_t* row) {
+      const NodeIndex hint = rows_.hints(row)[slot_];
+      if (hint != kInvalidNode) fn(id, machine_of_node(hint));
+    });
+  }
+
+ private:
+  RowTable& rows_;
+  std::uint32_t slot_;
+  std::size_t count_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+
 MetadataHierarchy::MetadataHierarchy(const net::HierarchyTopology& topo,
                                      MetadataConfig cfg,
                                      sim::EventQueue& queue)
-    : topo_(topo), cfg_(cfg), queue_(queue) {
-  leaves_.reserve(topo_.num_l1());
-  for (std::uint32_t i = 0; i < topo_.num_l1(); ++i) {
-    leaves_.push_back(make_hint_store(cfg_.leaf_hint_bytes));
+    : topo_(topo),
+      cfg_(cfg),
+      queue_(queue),
+      root_(topo_.num_l2(), /*with_hints=*/false) {
+  const bool unbounded = cfg_.leaf_hint_bytes == kUnlimitedBytes;
+  groups_.reserve(topo_.num_l2());
+  for (std::uint32_t g = 0; g < topo_.num_l2(); ++g) {
+    groups_.emplace_back(topo_.l1_per_l2(), unbounded);
   }
-  l2_state_.resize(topo_.num_l2());
+  leaves_.reserve(topo_.num_l1());
+  for (NodeIndex leaf = 0; leaf < topo_.num_l1(); ++leaf) {
+    if (unbounded) {
+      leaves_.push_back(std::make_unique<LeafView>(
+          groups_[topo_.l2_of_l1(leaf)], leaf % topo_.l1_per_l2()));
+    } else {
+      leaves_.push_back(
+          std::make_unique<AssociativeHintCache>(cfg_.leaf_hint_bytes));
+    }
+  }
+}
+
+std::size_t MetadataHierarchy::rows_in_use() const {
+  std::size_t n = root_.rows_in_use();
+  for (const RowTable& g : groups_) n += g.rows_in_use();
+  return n;
+}
+
+std::size_t MetadataHierarchy::rows_allocated() const {
+  std::size_t n = root_.rows_allocated();
+  for (const RowTable& g : groups_) n += g.rows_allocated();
+  return n;
 }
 
 template <typename Fn>
@@ -65,35 +180,29 @@ void MetadataHierarchy::invalidate_object(ObjectId id) {
       observer_(leaf, id, kInvalidNode);
     }
   }
-  for (auto& state : l2_state_) state.erase(id.value);
-  root_state_.erase(id.value);
+  for (RowTable& g : groups_) g.release(id);
+  root_.release(id);
 }
 
 // ---------------------------------------------------------------------------
 // L2 metadata nodes
 // ---------------------------------------------------------------------------
 
-NodeIndex MetadataHierarchy::l2_representative(const InternalEntry& e) {
-  const NodeIndex slot = e.children.first();
-  if (slot == kInvalidNode) return kInvalidNode;
-  if (static_cast<std::size_t>(slot) < e.reps.size()) return e.reps[slot];
-  return kInvalidNode;
-}
-
-// Each handler below finishes with its own entry before its first send():
-// a zero-delay send runs the next handler synchronously, and that handler
-// may insert into or erase from any InternalState, moving entries.
+// Each handler below finishes with its own row before its first send(): a
+// zero-delay send runs the next handler synchronously, and that handler may
+// add or free rows.
 
 void MetadataHierarchy::l2_child_inform(std::uint32_t l2, NodeIndex leaf,
                                         ObjectId id) {
-  InternalEntry& e = l2_state_[l2][id.value];
-  const std::uint32_t slot = leaf % topo_.l1_per_l2();
-  const bool was_empty = e.children.empty();
-  e.children.insert(slot);
-  if (e.reps.empty()) e.reps.assign(topo_.l1_per_l2(), kInvalidNode);
-  e.reps[slot] = leaf;
+  RowTable& rows = groups_[l2];
+  std::uint32_t* row = rows.get(id);
+  row[RowTable::kEntry] = 1;
+  NodeIndex& rep = rows.reps(row)[leaf % topo_.l1_per_l2()];
+  const bool was_empty = row[RowTable::kLiveReps] == 0;
+  if (rep == kInvalidNode) ++row[RowTable::kLiveReps];
+  rep = leaf;
   if (!was_empty) return;  // second copy in the subtree: not distributed
-  const bool known_outside = e.external != kInvalidNode;
+  const bool known_outside = row[RowTable::kExternal] != kInvalidNode;
 
   // The first copy in this subtree: no other child holds one, so every other
   // child learns of it.
@@ -112,10 +221,13 @@ void MetadataHierarchy::l2_child_inform(std::uint32_t l2, NodeIndex leaf,
 
 void MetadataHierarchy::l2_parent_inform(std::uint32_t l2, NodeIndex loc,
                                          ObjectId id) {
-  InternalEntry& e = l2_state_[l2][id.value];
-  if (e.external != kInvalidNode) return;  // equally distant; keep the old one
-  e.external = loc;
-  if (!e.children.empty()) return;  // children already have a nearer copy
+  std::uint32_t* row = groups_[l2].get(id);
+  row[RowTable::kEntry] = 1;
+  // Equally distant; keep the old one.
+  if (row[RowTable::kExternal] != kInvalidNode) return;
+  row[RowTable::kExternal] = loc;
+  // Children already have a nearer copy.
+  if (row[RowTable::kLiveReps] != 0) return;
   const std::uint32_t base = l2 * topo_.l1_per_l2();
   const std::uint32_t end = std::min(base + topo_.l1_per_l2(), topo_.num_l1());
   for (std::uint32_t c = base; c < end; ++c) {
@@ -125,16 +237,17 @@ void MetadataHierarchy::l2_parent_inform(std::uint32_t l2, NodeIndex loc,
 
 void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
                                         ObjectId id) {
-  InternalEntry* e = l2_state_[l2].find(id.value);
-  if (e == nullptr) return;  // stale remove (object invalidated)
-  const std::uint32_t slot = leaf % topo_.l1_per_l2();
-  if (!e->children.contains(slot)) return;
-  e->children.erase(slot);
-  if (!e->reps.empty()) e->reps[slot] = kInvalidNode;
-  const bool last_copy = e->children.empty();
+  RowTable& rows = groups_[l2];
+  std::uint32_t* row = rows.find(id);
+  if (row == nullptr) return;  // stale remove (object invalidated)
+  NodeIndex& rep = rows.reps(row)[leaf % topo_.l1_per_l2()];
+  if (rep == kInvalidNode) return;
+  rep = kInvalidNode;
+  const bool last_copy = --row[RowTable::kLiveReps] == 0;
 
   // Advertise the non-presence with the next best location, if any.
-  const NodeIndex next = last_copy ? e->external : l2_representative(*e);
+  const NodeIndex next =
+      last_copy ? row[RowTable::kExternal] : rows.first_rep(row);
   const std::uint32_t base = l2 * topo_.l1_per_l2();
   const std::uint32_t end = std::min(base + topo_.l1_per_l2(), topo_.num_l1());
   for (std::uint32_t c = base; c < end; ++c) {
@@ -147,10 +260,12 @@ void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
 
   if (last_copy) {
     send(1, [this, l2, leaf, id](SimTime) { root_child_remove(l2, leaf, id); });
-    // Looked up again: the send may have run the root's handlers already.
-    InternalState& state = l2_state_[l2];
-    if (const InternalEntry* now = state.find(id.value); now && now->empty()) {
-      state.erase(id.value);
+    // Looked up again: the sends may have run the root's handlers already.
+    if (std::uint32_t* now = rows.find(id);
+        now != nullptr && now[RowTable::kLiveReps] == 0 &&
+        now[RowTable::kExternal] == kInvalidNode) {
+      now[RowTable::kEntry] = 0;
+      rows.release_if_unused(id, now);
     }
   }
 }
@@ -162,11 +277,11 @@ void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
 void MetadataHierarchy::root_child_inform(std::uint32_t l2, NodeIndex loc,
                                           ObjectId id) {
   ++root_updates_;
-  InternalEntry& e = root_state_[id.value];
-  const bool was_empty = e.children.empty();
-  e.children.insert(l2);
-  if (e.reps.empty()) e.reps.assign(topo_.num_l2(), kInvalidNode);
-  e.reps[l2] = loc;
+  std::uint32_t* row = root_.get(id);
+  NodeIndex& rep = root_.reps(row)[l2];
+  const bool was_empty = row[RowTable::kLiveReps] == 0;
+  if (rep == kInvalidNode) ++row[RowTable::kLiveReps];
+  rep = loc;
   if (!was_empty) return;
 
   // The first group with a copy: no other group holds one.
@@ -179,28 +294,32 @@ void MetadataHierarchy::root_child_inform(std::uint32_t l2, NodeIndex loc,
 void MetadataHierarchy::root_child_remove(std::uint32_t l2, NodeIndex gone,
                                           ObjectId id) {
   ++root_updates_;
-  InternalEntry* e = root_state_.find(id.value);
-  if (e == nullptr) return;
-  e->children.erase(l2);
-  if (!e->reps.empty()) e->reps[l2] = kInvalidNode;
-
-  NodeIndex next = kInvalidNode;
-  if (const NodeIndex slot = e->children.first(); slot != kInvalidNode) {
-    next = e->reps[static_cast<std::size_t>(slot)];
+  std::uint32_t* row = root_.find(id);
+  if (row == nullptr) return;
+  NodeIndex* reps = root_.reps(row);
+  if (reps[l2] != kInvalidNode) {
+    reps[l2] = kInvalidNode;
+    --row[RowTable::kLiveReps];
   }
-  const NodeSet holders = e->children;
+  const NodeIndex next = root_.first_rep(row);
 
   // Groups without local copies may hold hints pointing at the vanished
-  // leaf; send them the correction.
+  // leaf; send them the correction. Chosen before the first send.
+  std::vector<std::uint32_t> targets;
   for (std::uint32_t g = 0; g < topo_.num_l2(); ++g) {
-    if (holders.contains(g)) continue;
+    if (reps[g] == kInvalidNode) targets.push_back(g);
+  }
+  for (const std::uint32_t g : targets) {
     send(1, [this, g, gone, next, id](SimTime) {
       // The group's external pointer and its leaves' hints are corrected.
-      InternalState& state = l2_state_[g];
-      if (InternalEntry* ge = state.find(id.value)) {
-        if (ge->external == gone) ge->external = next;
+      RowTable& rows = groups_[g];
+      if (std::uint32_t* gr = rows.find(id);
+          gr != nullptr && gr[RowTable::kEntry] != 0) {
+        if (gr[RowTable::kExternal] == gone) gr[RowTable::kExternal] = next;
       } else if (next != kInvalidNode) {
-        state[id.value].external = next;
+        std::uint32_t* added = rows.get(id);
+        added[RowTable::kEntry] = 1;
+        added[RowTable::kExternal] = next;
       }
       const std::uint32_t base = g * topo_.l1_per_l2();
       const std::uint32_t end =
@@ -215,8 +334,9 @@ void MetadataHierarchy::root_child_remove(std::uint32_t l2, NodeIndex gone,
   }
 
   // Looked up again: the sends may have run other handlers already.
-  if (const InternalEntry* now = root_state_.find(id.value); now && now->empty()) {
-    root_state_.erase(id.value);
+  if (const std::uint32_t* now = root_.find(id);
+      now != nullptr && now[RowTable::kLiveReps] == 0) {
+    root_.release(id);
   }
 }
 

@@ -1,8 +1,8 @@
 // Plaxton/Rajaraman/Richa randomized tree embedding (Section 3.1.3).
 //
 // The hint hierarchy configures itself by embedding, for every object, a
-// virtual tree across the cache nodes. Node ids are pseudo-random (MD5 of the
-// node's address); an object's tree is climbed digit by digit: at level l a
+// virtual tree across the cache nodes. Node ids are pseudo-random (mix64 of
+// the node's index); an object's tree is climbed digit by digit: at level l a
 // node forwards to its nearest neighbour whose id matches the object's id in
 // the bottom l digits plus the object's (l+1)-th digit. The node whose id
 // matches the object's id in the most low-order digits is the object's root.

@@ -1,4 +1,4 @@
-// Tests for bh::common — MD5, hashing, RNG, Zipf sampling, node sets, the
+// Tests for bh::common — hashing, RNG, Zipf sampling, node sets, the
 // flat hash map, and table formatting.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "common/flat_map.h"
 #include "common/hash.h"
-#include "common/md5.h"
 #include "common/node_set.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -20,56 +19,6 @@
 
 namespace bh {
 namespace {
-
-// --- MD5 (RFC 1321 appendix test vectors) ---
-
-TEST(Md5Test, Rfc1321Vectors) {
-  EXPECT_EQ(Md5::hex(Md5::digest("")), "d41d8cd98f00b204e9800998ecf8427e");
-  EXPECT_EQ(Md5::hex(Md5::digest("a")), "0cc175b9c0f1b6a831c399e269772661");
-  EXPECT_EQ(Md5::hex(Md5::digest("abc")), "900150983cd24fb0d6963f7d28e17f72");
-  EXPECT_EQ(Md5::hex(Md5::digest("message digest")),
-            "f96b697d7cb7938d525a2f31aaf161d0");
-  EXPECT_EQ(Md5::hex(Md5::digest("abcdefghijklmnopqrstuvwxyz")),
-            "c3fcd3d76192e4007dfb496cca67e13b");
-  EXPECT_EQ(Md5::hex(Md5::digest("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopq"
-                                 "rstuvwxyz0123456789")),
-            "d174ab98d277d9f5a5611c2c9f419d9f");
-  EXPECT_EQ(Md5::hex(Md5::digest(
-                "1234567890123456789012345678901234567890123456789012345678"
-                "9012345678901234567890")),
-            "57edf4a22be3c955ac49da2e2107b67a");
-}
-
-TEST(Md5Test, IncrementalUpdateMatchesOneShot) {
-  const std::string msg =
-      "the quick brown fox jumps over the lazy dog repeatedly and at length "
-      "so that the message spans multiple 64-byte blocks in the md5 stream";
-  for (std::size_t split = 0; split <= msg.size(); split += 7) {
-    Md5 h;
-    h.update(msg.substr(0, split));
-    h.update(msg.substr(split));
-    EXPECT_EQ(Md5::hex(h.finish()), Md5::hex(Md5::digest(msg)));
-  }
-}
-
-TEST(Md5Test, BlockBoundaryLengths) {
-  // Lengths around the 56-byte padding boundary and the 64-byte block size.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const std::string msg(len, 'x');
-    Md5 a;
-    a.update(msg);
-    Md5 b;
-    for (char c : msg) b.update(&c, 1);
-    EXPECT_EQ(Md5::hex(a.finish()), Md5::hex(b.finish())) << "len=" << len;
-  }
-}
-
-TEST(Md5Test, ObjectIdsDifferAcrossUrls) {
-  const ObjectId a = object_id_from_url("http://example.com/a");
-  const ObjectId b = object_id_from_url("http://example.com/b");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a, object_id_from_url("http://example.com/a"));
-}
 
 // --- hashing ---
 

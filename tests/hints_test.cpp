@@ -1,11 +1,15 @@
 // Tests for the hint-cache data structure and the metadata hierarchy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/fs_util.h"
+#include "common/rng.h"
 #include "hints/hint_cache.h"
 #include "hints/metadata_hierarchy.h"
 #include "net/topology.h"
@@ -486,6 +490,93 @@ TEST(MetadataHierarchyTest, BoundedLeafStoresLoseHints) {
     remembered += h.meta.find_nearest(12, obj(o * 31 + 7)).has_value();
   }
   EXPECT_LE(remembered, 4u);
+}
+
+// An unbounded leaf store is a view of one slot of its group's rows. Driven
+// through the HintStore interface it must behave exactly like a standalone
+// UnboundedHintStore, per leaf, for ids that share rows across leaves and
+// ids at both ends of the key space.
+TEST(MetadataHierarchyTest, UnboundedLeafViewMatchesUnboundedStore) {
+  const net::HierarchyTopology topo(20, 8, 1);  // groups of 8, 8 and 4
+  sim::EventQueue queue;
+  MetadataHierarchy meta(topo, {}, queue);
+  std::vector<UnboundedHintStore> model(topo.num_l1());
+  const std::vector<std::uint64_t> keys = {0,  1,  2,  3,  5,  8,  13, 21,
+                                           34, 55, 89, ~std::uint64_t{0}};
+  const auto contents = [](const HintStore& s) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    s.for_each([&](ObjectId id, MachineId m) {
+      out.emplace_back(id.value, m.value);
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  Rng rng(2024);
+  for (int step = 0; step < 20000; ++step) {
+    const auto leaf = NodeIndex(rng.next_below(topo.num_l1()));
+    const ObjectId id{keys[rng.next_below(keys.size())]};
+    HintStore& view = meta.leaf_store(leaf);
+    switch (rng.next_below(3)) {
+      case 0: {
+        const MachineId m =
+            machine_of_node(NodeIndex(rng.next_below(topo.num_l1())));
+        view.insert(id, m);
+        model[leaf].insert(id, m);
+        break;
+      }
+      case 1:
+        ASSERT_EQ(view.erase(id), model[leaf].erase(id)) << "step " << step;
+        break;
+      case 2:
+        break;
+    }
+    ASSERT_EQ(view.lookup(id), model[leaf].lookup(id)) << "step " << step;
+    if (step % 500 == 0) {
+      for (NodeIndex l = 0; l < topo.num_l1(); ++l) {
+        ASSERT_EQ(meta.leaf_store(l).entry_count(), model[l].entry_count());
+        ASSERT_EQ(contents(meta.leaf_store(l)), contents(model[l]));
+      }
+    }
+  }
+  for (NodeIndex l = 0; l < topo.num_l1(); ++l) {
+    for (const std::uint64_t k : keys) meta.leaf_store(l).erase(ObjectId{k});
+    EXPECT_EQ(meta.leaf_store(l).entry_count(), 0u);
+  }
+  EXPECT_EQ(meta.rows_in_use(), 0u);
+}
+
+// A group row lives while any slot or any metadata in it is live, and a
+// freed row is reused before the slab grows.
+TEST(MetadataHierarchyTest, GroupRowsAreReleasedAndReused) {
+  Hier h;  // groups of 4 leaves
+  HintStore& a = h.meta.leaf_store(0);
+  HintStore& b = h.meta.leaf_store(1);
+  a.insert(obj(1), machine_of_node(5));
+  b.insert(obj(1), machine_of_node(9));
+  EXPECT_EQ(h.meta.rows_in_use(), 1u);  // both leaves share the row
+  EXPECT_TRUE(a.erase(obj(1)));
+  EXPECT_EQ(h.meta.rows_in_use(), 1u);  // b's slot is still live
+  EXPECT_TRUE(b.erase(obj(1)));
+  EXPECT_EQ(h.meta.rows_in_use(), 0u);  // the last live slot frees it
+  EXPECT_FALSE(b.erase(obj(1)));
+
+  const std::size_t allocated = h.meta.rows_allocated();
+  a.insert(obj(2), machine_of_node(3));
+  EXPECT_EQ(h.meta.rows_in_use(), 1u);
+  EXPECT_EQ(h.meta.rows_allocated(), allocated);  // the freed row, reused
+  EXPECT_EQ(a.lookup(obj(2)), machine_of_node(3));
+  EXPECT_EQ(b.lookup(obj(2)), std::nullopt);  // and blank for the new object
+  EXPECT_TRUE(a.erase(obj(2)));
+
+  // Metadata keeps a row alive after every hint in it is gone; the object's
+  // invalidation frees it with the root's row.
+  h.meta.inform(0, obj(3));
+  for (NodeIndex n = 1; n < 4; ++n) {
+    EXPECT_TRUE(h.meta.leaf_store(n).erase(obj(3)));
+  }
+  EXPECT_GT(h.meta.rows_in_use(), 0u);
+  h.meta.invalidate_object(obj(3));
+  EXPECT_EQ(h.meta.rows_in_use(), 0u);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // sequences checked against a ground-truth oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "hints/metadata_hierarchy.h"
@@ -91,7 +94,9 @@ TEST(MetadataPropertyTest, ChaosMaintainsStructuralInvariants) {
       for (NodeIndex leaf = 0; leaf < 32; leaf += 3) {
         for (std::uint64_t q = 0; q < 100; q += 7) {
           const auto near = meta.find_nearest(leaf, obj(q));
-          if (near) ASSERT_NE(*near, leaf);
+          if (near) {
+            ASSERT_NE(*near, leaf);
+          }
         }
       }
     }
@@ -116,7 +121,9 @@ TEST(MetadataPropertyTest, EvictionLeavesNoDanglingPointerToTheEvictee) {
     meta.invalidate(a, obj(o));
     for (NodeIndex leaf = 0; leaf < 32; ++leaf) {
       const auto near = meta.find_nearest(leaf, obj(o));
-      if (near) ASSERT_NE(*near, a) << "round " << round;
+      if (near) {
+        ASSERT_NE(*near, a) << "round " << round;
+      }
     }
     // Clean the slate for the next round.
     meta.invalidate_object(obj(o));
@@ -217,8 +224,164 @@ TEST(MetadataPropertyTest, DelayedChaosConvergesWhenDrained) {
   for (NodeIndex leaf = 0; leaf < 32; ++leaf) {
     for (std::uint64_t q = 0; q < 50; ++q) {
       const auto near = meta.find_nearest(leaf, obj(q));
-      if (near) EXPECT_NE(*near, leaf);
+      if (near) {
+        EXPECT_NE(*near, leaf);
+      }
     }
+  }
+}
+
+// An L2 entry that names no copy and no external location is still an
+// entry: the root's correction after a removal installs an external pointer
+// only in groups with no entry at all. This delayed stream (found by random
+// search) leaves group 0 with such an entry when the correction for leaf 1's
+// removal arrives, so group 0 keeps no external pointer and its next first
+// copy goes up to the root. Had the entry counted as absent, group 0 would
+// point at leaf 2 and the root would hear one update fewer.
+TEST(MetadataPropertyTest, EmptyGroupEntryStopsTheRootsCorrection) {
+  const net::HierarchyTopology topo(4, 2, 1);
+  sim::EventQueue queue;
+  MetadataConfig cfg;
+  cfg.hop_delay = 0.5;
+  MetadataHierarchy meta(topo, cfg, queue);
+  struct Op {
+    SimTime at;
+    bool inform;
+    NodeIndex leaf;
+  };
+  const Op ops[] = {{0.4072, true, 2},  {0.4987, false, 2}, {2.746, true, 2},
+                    {2.8845, false, 2}, {2.981, true, 1},   {3.238, true, 2},
+                    {3.7215, false, 1}, {4.04, true, 0}};
+  for (const Op& op : ops) {
+    queue.run_until(op.at);
+    if (op.inform) {
+      meta.inform(op.leaf, obj(0));
+    } else {
+      meta.invalidate(op.leaf, obj(0));
+    }
+  }
+  queue.run_all();
+  meta.invalidate(0, obj(0));
+  queue.run_all();
+  EXPECT_EQ(meta.root_updates(), 7u);
+  meta.inform(1, obj(0));  // group 0's first copy again
+  queue.run_all();
+  EXPECT_EQ(meta.root_updates(), 8u);
+  EXPECT_EQ(meta.total_messages(), 47u);
+  EXPECT_EQ(meta.find_nearest(0, obj(0)), std::optional<NodeIndex>(1));
+  EXPECT_EQ(meta.find_nearest(3, obj(0)), std::nullopt);
+}
+
+// --- pinned observable state ----------------------------------------------
+
+// One hierarchy shape for the pinned digest below.
+struct DigestSetup {
+  const char* name;
+  std::uint32_t num_l1;
+  std::uint32_t l1_per_l2;
+  SimTime hop_delay;
+  std::uint64_t leaf_hint_bytes;
+};
+
+// Folds 64-bit words into an FNV-1a hash, a byte at a time.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+};
+
+// Replays a seeded stream of informs, evictions and consistency
+// invalidations shaped like a cache's (a leaf informs only while it lacks a
+// copy and evicts only what it holds), and digests what every leaf would
+// answer for every object at checkpoints and after the queue drains, plus
+// the three message counters.
+std::uint64_t digest_stream(const DigestSetup& s, std::uint64_t seed) {
+  const net::HierarchyTopology topo(s.num_l1, s.l1_per_l2, 1);
+  sim::EventQueue queue;
+  MetadataHierarchy meta(topo, MetadataConfig{s.leaf_hint_bytes, s.hop_delay},
+                         queue);
+  constexpr std::uint64_t kObjects = 96;
+  std::vector<std::vector<NodeIndex>> holders(kObjects);
+  const auto holds = [&](std::uint64_t o, NodeIndex n) {
+    return std::find(holders[o].begin(), holders[o].end(), n) !=
+           holders[o].end();
+  };
+  Rng rng(seed);
+  Fnv64 digest;
+  const auto fold_state = [&] {
+    for (NodeIndex leaf = 0; leaf < s.num_l1; ++leaf) {
+      for (std::uint64_t q = 0; q < kObjects; ++q) {
+        const auto near = meta.find_nearest(leaf, obj(q));
+        digest.add(near ? *near : kInvalidNode);
+      }
+    }
+    digest.add(meta.root_updates());
+    digest.add(meta.leaf_updates());
+    digest.add(meta.total_messages());
+  };
+
+  double t = 0;
+  for (int step = 1; step <= 6000; ++step) {
+    if (s.hop_delay > 0) {
+      t += rng.exponential(s.hop_delay / 2);
+      queue.run_until(t);
+    }
+    const std::uint64_t o = rng.next_below(kObjects);
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 58) {
+      const auto n = NodeIndex(rng.next_below(s.num_l1));
+      if (!holds(o, n)) {
+        meta.inform(n, obj(o));
+        holders[o].push_back(n);
+      }
+    } else if (op < 98) {
+      if (!holders[o].empty()) {
+        const std::size_t i = rng.next_below(holders[o].size());
+        const NodeIndex n = holders[o][i];
+        holders[o][i] = holders[o].back();
+        holders[o].pop_back();
+        meta.invalidate(n, obj(o));
+      }
+    } else {
+      meta.invalidate_object(obj(o));
+      holders[o].clear();
+    }
+    if (step % 1000 == 0) fold_state();
+  }
+  queue.run_all();
+  fold_state();
+  return digest.h;
+}
+
+// Pins what the hierarchy answers, and what it sends, across the shapes that
+// exercise its corners: a partial last L2 group, a group wider than 64
+// slots, delayed propagation drained at the end, and bounded leaves small
+// enough (one 4-way set) that conflict evictions happen constantly. A change
+// to how the hierarchy stores its state must leave every digest unchanged.
+TEST(MetadataPropertyTest, PinnedHintStateDigest) {
+  constexpr std::uint64_t kBounded = 64;
+  const DigestSetup setups[] = {
+      {"66x8/sync/unbounded", 66, 8, 0.0, kUnlimitedBytes},
+      {"66x8/sync/64B", 66, 8, 0.0, kBounded},
+      {"66x8/0.5s/unbounded", 66, 8, 0.5, kUnlimitedBytes},
+      {"66x8/0.5s/64B", 66, 8, 0.5, kBounded},
+      {"130x130/sync/unbounded", 130, 130, 0.0, kUnlimitedBytes},
+      {"130x130/sync/64B", 130, 130, 0.0, kBounded},
+      {"130x130/0.5s/unbounded", 130, 130, 0.5, kUnlimitedBytes},
+      {"130x130/0.5s/64B", 130, 130, 0.5, kBounded},
+  };
+  const std::uint64_t pinned[] = {
+      0x04e9927fcb18e956, 0x6bad97a25640cd71, 0x40e9408b854acc84,
+      0x7e720de73ddd18d1, 0xb27c5400d082415b, 0x415891ba6e6e2a1f,
+      0x0bed19d31d7448ed, 0xceea87cec32b6613,
+  };
+  static_assert(std::size(setups) == std::size(pinned));
+  for (std::size_t i = 0; i < std::size(setups); ++i) {
+    const std::uint64_t got = digest_stream(setups[i], 1700 + i);
+    EXPECT_EQ(got, pinned[i]) << setups[i].name << ": 0x" << std::hex << got;
   }
 }
 
