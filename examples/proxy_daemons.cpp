@@ -51,8 +51,7 @@ void print_stats(const std::vector<std::unique_ptr<proxy::ProxyServer>>& ps) {
 
 int main(int argc, char** argv) {
   // Data-path concurrency knobs: --shards=N sets both the cache shard and
-  // hint stripe count, --workers=N sizes each daemon's handler pool,
-  // --backlog=N caps each listener's accept backlog (0 = SOMAXCONN), and
+  // hint stripe count, --workers=N sizes each daemon's handler pool, and
   // --persist=DIR gives each daemon an on-disk L2 tier and a hint image
   // under DIR/proxy-<i>/ (rerun with the same DIR to watch the cluster
   // start warm).
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
   std::size_t workers = 8;
   std::string push_policy = "none";
   std::size_t daemons = 4;
-  int backlog = 0;
   std::string persist_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -90,12 +88,10 @@ int main(int argc, char** argv) {
       }
     } else if (a.rfind("--workers=", 0) == 0) {
       workers = std::strtoull(a.c_str() + 10, nullptr, 10);
-    } else if (a.rfind("--backlog=", 0) == 0) {
-      backlog = std::atoi(a.c_str() + 10);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--daemons=N] [--shards=N] [--workers=N] "
-                   "[--backlog=N] [--persist=DIR] [--push-policy=NAME]\n",
+                   "[--persist=DIR] [--push-policy=NAME]\n",
                    argv[0]);
       return 1;
     }
@@ -123,7 +119,6 @@ int main(int argc, char** argv) {
     cfg.cache_shards = shards;
     cfg.hint_stripes = shards;
     cfg.workers = workers;
-    cfg.listen_backlog = backlog;
     // Failure budget: tight data-path probes, short quarantine so the demo's
     // outage phase shows degradation and the stats stay legible.
     cfg.peer_deadline_seconds = 0.25;

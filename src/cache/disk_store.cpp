@@ -102,8 +102,8 @@ DiskStore::DiskStore(Options opts, EvictFn on_evict)
 }
 
 std::string DiskStore::path_of(ObjectId id) const {
-  // Low byte of the MD5-derived id picks one of 256 buckets; the hex id is
-  // the file name, so the id is recoverable from the path alone.
+  // Low byte of the id picks one of 256 buckets; the hex id is the file
+  // name, so the id is recoverable from the path alone.
   char dir[3];
   std::snprintf(dir, sizeof dir, "%02x",
                 static_cast<unsigned>(id.value & 0xff));
@@ -252,6 +252,15 @@ std::optional<Body> DiskStore::get_body(ObjectId id) {
   // The FdRef owns the fd from here; the extent stays readable even if the
   // file is evicted and unlinked while the response is in flight.
   return Body::extent(std::make_shared<const FdRef>(fd), sizeof h, h.body_len);
+}
+
+std::optional<std::uint64_t> DiskStore::body_bytes(ObjectId id) const {
+  std::lock_guard lock(mu_);
+  const auto it = index_.find(id);
+  if (it == index_.end()) return std::nullopt;
+  // A file shorter than the envelope header is damaged; reading it drops it.
+  const std::uint64_t file_bytes = it->second.file_bytes;
+  return file_bytes > sizeof(ObjHeader) ? file_bytes - sizeof(ObjHeader) : 0;
 }
 
 bool DiskStore::put(ObjectId id, std::string_view body, Version version,

@@ -9,9 +9,11 @@
 // On-disk layout:
 //   <root>/meta                    format-version stamp (crash-atomic)
 //   <root>/<xx>/<16-hex-id>.obj    one file per object
-// where <xx> is the low byte of the object id in hex. Object ids are the low
-// 8 bytes of MD5(URL), so the 256 directories stay uniformly filled without
-// any extra hashing, and no directory grows past ~capacity/256 entries.
+// where <xx> is the low byte of the object id in hex. Object ids come from
+// mix64 in the simulator and from the numeric /obj/<hex> request path in
+// the daemons; mixed or sequential, their low bytes fill the 256
+// directories evenly without any extra hashing, so no directory grows past
+// ~capacity/256 entries.
 //
 // Each .obj file is a small checksummed envelope: a fixed header carrying
 // magic, format version, the object id (so a renamed or misplaced file can
@@ -111,6 +113,11 @@ class DiskStore {
   // checksum would force a full userspace read, defeating the point. The
   // checksummed get() remains the promotion path's read.
   std::optional<Body> get_body(ObjectId id);
+
+  // Body length of an indexed object, from the index alone (no file I/O, no
+  // recency touch); nullopt when absent. Lets a reader choose between get()
+  // and get_body() before opening the file.
+  std::optional<std::uint64_t> body_bytes(ObjectId id) const;
 
   // Writes (or replaces) the object crash-atomically, then evicts
   // least-recently-accessed entries as needed to fit the budget. Returns

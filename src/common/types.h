@@ -55,7 +55,8 @@ inline constexpr std::uint64_t kUnlimitedBytes = static_cast<std::uint64_t>(-1);
 template <>
 struct std::hash<bh::ObjectId> {
   std::size_t operator()(bh::ObjectId id) const noexcept {
-    // Object ids are already uniform (MD5-derived); identity is fine.
+    // Object ids are already uniform (mix64 in the simulator, the numeric
+    // /obj/<hex> path in the daemons); identity is fine.
     return static_cast<std::size_t>(id.value);
   }
 };

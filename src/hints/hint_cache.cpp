@@ -21,9 +21,9 @@ AssociativeHintCache::AssociativeHintCache(std::uint64_t capacity_bytes) {
 }
 
 std::size_t AssociativeHintCache::set_base(std::uint64_t key) const {
-  // Keys are MD5-derived (or mixed) and already uniform; fold them onto the
-  // set index with a multiplicative scramble so power-of-two set counts don't
-  // expose low-bit structure.
+  // Keys come from mix64 in the simulator and from the numeric /obj/<hex>
+  // path in the daemons; fold them onto the set index with a multiplicative
+  // scramble so power-of-two set counts don't expose low-bit structure.
   return static_cast<std::size_t>(mix64(key) % num_sets_) * kWays;
 }
 

@@ -14,7 +14,7 @@
 namespace bh::hints {
 
 struct HintRecord {
-  std::uint64_t key = 0;       // low 8 bytes of MD5(URL); 0 = invalid entry
+  std::uint64_t key = 0;       // object id; 0 = invalid entry
   std::uint64_t location = 0;  // machine identifier (IP address + port)
 };
 static_assert(sizeof(HintRecord) == 16, "hint records are 16 bytes");

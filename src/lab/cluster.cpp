@@ -193,15 +193,6 @@ void Cluster::spawn_daemon(int index, std::uint16_t fixed_port) {
       flag("--name", name),
       flag("--port", std::to_string(fixed_port)),
       flag("--origin", std::to_string(origin_port_)),
-      flag("--capacity", std::to_string(opts_.capacity_bytes)),
-      flag("--hint-bytes", std::to_string(opts_.hint_bytes)),
-      flag("--workers", std::to_string(opts_.workers)),
-      flag("--peer-deadline", std::to_string(opts_.peer_deadline_seconds)),
-      flag("--origin-deadline", std::to_string(opts_.origin_deadline_seconds)),
-      flag("--quarantine-threshold",
-           std::to_string(opts_.quarantine_threshold)),
-      flag("--quarantine-seconds", std::to_string(opts_.quarantine_seconds)),
-      flag("--flush-interval", std::to_string(opts_.flush_interval_seconds)),
   };
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -375,8 +366,16 @@ namespace {
 
 [[noreturn]] void run_daemon(int argc, char** argv) {
   proxy::ProxyConfig cfg;
+  cfg.capacity_bytes = 4ULL << 20;
+  cfg.hint_bytes = 1ULL << 20;
   cfg.cache_shards = 4;
   cfg.hint_stripes = 4;
+  cfg.workers = 2;
+  cfg.peer_deadline_seconds = 0.25;
+  cfg.origin_deadline_seconds = 1.0;
+  cfg.quarantine_threshold = 2;
+  cfg.quarantine_seconds = 1.0;
+  cfg.flush_interval_seconds = kDaemonFlushIntervalSeconds;
   std::uint16_t fixed_port = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -395,22 +394,6 @@ namespace {
       const auto p = proxy::parse_port(val());
       if (!p) daemon_fail("bad --origin " + val());
       cfg.origin_port = *p;
-    } else if (a.rfind("--capacity=", 0) == 0) {
-      cfg.capacity_bytes = std::strtoull(val().c_str(), nullptr, 10);
-    } else if (a.rfind("--hint-bytes=", 0) == 0) {
-      cfg.hint_bytes = std::strtoull(val().c_str(), nullptr, 10);
-    } else if (a.rfind("--workers=", 0) == 0) {
-      cfg.workers = std::strtoull(val().c_str(), nullptr, 10);
-    } else if (a.rfind("--peer-deadline=", 0) == 0) {
-      cfg.peer_deadline_seconds = std::strtod(val().c_str(), nullptr);
-    } else if (a.rfind("--origin-deadline=", 0) == 0) {
-      cfg.origin_deadline_seconds = std::strtod(val().c_str(), nullptr);
-    } else if (a.rfind("--quarantine-threshold=", 0) == 0) {
-      cfg.quarantine_threshold = std::atoi(val().c_str());
-    } else if (a.rfind("--quarantine-seconds=", 0) == 0) {
-      cfg.quarantine_seconds = std::strtod(val().c_str(), nullptr);
-    } else if (a.rfind("--flush-interval=", 0) == 0) {
-      cfg.flush_interval_seconds = std::strtod(val().c_str(), nullptr);
     } else {
       daemon_fail("unknown daemon flag " + a);
     }

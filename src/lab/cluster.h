@@ -9,16 +9,18 @@
 //
 // Spawn protocol: the parent fork+execs its own binary (argv[0] must
 // dispatch through maybe_run_daemon(), see below) with `--bh-scenario-daemon`
-// and the daemon's config as flags. The child closes every inherited
-// descriptor above stderr (so a killed parent's sockets — and the origin's
-// listener, which outage scenarios rebind — never leak into daemon
-// processes), constructs the ProxyServer, and reports "PORT <n>" on stdout,
-// which the parent reads through a pipe. A daemon that cannot bind reports
-// "ERROR <why>" and exits nonzero; the parent turns a missing/failed report
-// into a thrown error with the child's words — start() fails loudly, never
-// hangs. First launches bind ephemeral ports (collision-free at any scale);
-// restarts pin the old port so surviving peers' hints (keyed by port) reach
-// the reborn instance and their quarantine re-probes find it.
+// plus the daemon's name, port and origin port as flags; every other
+// setting is the child's own fixed config (see kDaemonFlushIntervalSeconds).
+// The child closes every inherited descriptor above stderr (so a killed
+// parent's sockets — and the origin's listener, which outage scenarios
+// rebind — never leak into daemon processes), constructs the ProxyServer,
+// and reports "PORT <n>" on stdout, which the parent reads through a pipe.
+// A daemon that cannot bind reports "ERROR <why>" and exits nonzero; the
+// parent turns a missing/failed report into a thrown error with the child's
+// words — start() fails loudly, never hangs. First launches bind ephemeral
+// ports (collision-free at any scale); restarts pin the old port so
+// surviving peers' hints (keyed by port) reach the reborn instance and
+// their quarantine re-probes find it.
 //
 // Topology is wired after every daemon is up, over HTTP (POST
 // /admin/neighbor), because ephemeral ports are only known post-bind.
@@ -64,20 +66,15 @@ const char* topology_name(Topology t);
 // O(log n) diameter without any root hotspot.
 std::vector<std::pair<int, int>> topology_edges(Topology t, int n);
 
+// Every lab daemon runs one fixed config (run_daemon in cluster.cpp): small
+// caches, two workers, and a failure budget tight enough that failure
+// scenarios play out in seconds. Hints flush by age at this interval, so
+// they propagate without manual flushes; scenarios settle on it too.
+inline constexpr double kDaemonFlushIntervalSeconds = 0.05;
+
 struct ClusterOptions {
   int proxies = 8;
   Topology topology = Topology::kHierarchy;
-  std::uint64_t capacity_bytes = 4ULL << 20;
-  std::uint64_t hint_bytes = 1ULL << 20;
-  std::size_t workers = 2;
-  // Failure budget forwarded to every daemon: tight probes and a short
-  // quarantine window keep failure scenarios observable in seconds.
-  double peer_deadline_seconds = 0.25;
-  double origin_deadline_seconds = 1.0;
-  int quarantine_threshold = 2;
-  double quarantine_seconds = 1.0;
-  // Age-triggered hint flushing so hints propagate without manual flushes.
-  double flush_interval_seconds = 0.05;
   // Binary to exec for daemon processes; empty = /proc/self/exe. Whatever
   // it names must call maybe_run_daemon() first thing in main().
   std::string exe;

@@ -120,7 +120,7 @@ struct ScenarioRun {
 
   void settle() const {
     std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::max(opts.cluster.flush_interval_seconds * 6.0, 0.2)));
+        std::max(kDaemonFlushIntervalSeconds * 6.0, 0.2)));
   }
 
   // Runs one open-loop load phase against the currently-alive daemons and

@@ -31,7 +31,7 @@ std::optional<ClientConnection> ConnectionPool::acquire(std::uint16_t port) {
     stack.pop_back();
     // Idled-out connections are discarded: the server has likely already
     // closed them, and anything under them in the stack is even older.
-    if (opts_.idle_timeout_seconds <= 0 || conn.last_used() >= cutoff) {
+    if (conn.last_used() >= cutoff) {
       out = std::move(conn);
       break;
     }

@@ -31,7 +31,7 @@ class ConnectionPool {
  public:
   struct Options {
     std::size_t max_idle_per_peer = 4;
-    double idle_timeout_seconds = 30.0;
+    double idle_timeout_seconds = 30.0;  // must be > 0
   };
 
   ConnectionPool() = default;

@@ -1,6 +1,6 @@
 // The proxy reactor's I/O engine: level-triggered readiness via epoll_wait,
 // with the accept4 and recv loops run in user space. The reactor's event
-// loop (reactor.h) drains posted tasks, advances the timer wheel, and then
+// loop (reactor.h) drains posted tasks, advances the timer queue, and then
 // asks the IoBackend to wait for and dispatch I/O.
 //
 // Contract (all methods loop-thread-only unless noted):

@@ -23,6 +23,17 @@ namespace {
 constexpr std::uint64_t kMinCacheShardBytes = 1ULL << 20;
 constexpr std::uint64_t kMinHintStripeBytes = 64ULL << 10;
 
+// Inbound keep-alive connections idle longer than this are closed by the
+// reactor's sweep.
+constexpr double kKeepaliveIdleSeconds = 30.0;
+// Metadata calls (/updates, /register, PUT push): total budget per call,
+// covering every retry attempt and backoff sleep.
+constexpr double kMetadataDeadlineSeconds = 1.0;
+constexpr int kMetadataMaxAttempts = 3;
+// Bounded FIFO of recently seen update keys, used to drop duplicate
+// re-advertisements in cyclic topologies.
+constexpr std::size_t kSeenUpdatesCapacity = 4096;
+
 std::size_t effective_partitions(std::uint64_t capacity_bytes,
                                  std::size_t requested,
                                  std::uint64_t min_bytes) {
@@ -83,8 +94,6 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
           cfg_.hint_bytes,
           effective_partitions(cfg_.hint_bytes, cfg_.hint_stripes,
                                kMinHintStripeBytes))),
-      pool_(ConnectionPool::Options{cfg_.pool_max_idle_per_peer,
-                                    cfg_.pool_idle_timeout_seconds}),
       neighbors_(cfg_.hint_neighbors),
       c_(make_counters(registry_)),
       request_ms_(registry_.histogram("bh.proxy.request_ms")),
@@ -106,7 +115,6 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
     dopts.root = cfg_.disk_path;
     dopts.capacity_bytes = cfg_.disk_capacity_bytes;
     dopts.fsync_writes = cfg_.disk_fsync;
-    dopts.demote_queue_depth = std::max<std::size_t>(1, cfg_.demote_queue_depth);
     disk_ = std::make_unique<cache::DiskStore>(
         std::move(dopts), [this](ObjectId victim) {
           // A disk eviction is the object leaving the node entirely (the
@@ -118,7 +126,7 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
         });
   }
   load_hint_image();
-  listener_ = TcpListener::bind(cfg_.listen_port, cfg_.listen_backlog);
+  listener_ = TcpListener::bind(cfg_.listen_port);
   if (!listener_) {
     throw std::runtime_error(
         cfg_.name + ": cannot bind 127.0.0.1:" +
@@ -128,7 +136,7 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
   port_ = listener_->port();
   reactor_ = std::make_unique<Reactor>();
   HttpLoop::Options loop_opts;
-  loop_opts.idle_timeout_seconds = cfg_.keepalive_idle_seconds;
+  loop_opts.idle_timeout_seconds = kKeepaliveIdleSeconds;
   http_loop_ = std::make_unique<HttpLoop>(
       *reactor_, listener_->fd(), loop_opts,
       [this](std::uint64_t token, HttpRequest req) {
@@ -309,8 +317,8 @@ obs::MetricsSnapshot ProxyServer::metrics_snapshot() const {
 
 CallOptions ProxyServer::metadata_call_options() {
   CallOptions opts;
-  opts.deadline_seconds = cfg_.metadata_deadline_seconds;
-  opts.max_attempts = cfg_.metadata_max_attempts;
+  opts.deadline_seconds = kMetadataDeadlineSeconds;
+  opts.max_attempts = kMetadataMaxAttempts;
   // Distinct jitter stream per call so neighbours never back off in lockstep.
   opts.backoff_seed = mix64((std::uint64_t{port_} << 32) ^
                             call_seq_.fetch_add(1, std::memory_order_relaxed));
@@ -345,7 +353,7 @@ void ProxyServer::dispatch_request(std::uint64_t token, HttpRequest req) {
   {
     std::lock_guard lock(pool_mu_);
     jobs_.push_back(Job{token, std::move(req)});
-    pause = jobs_.size() >= cfg_.accept_queue_capacity;
+    pause = jobs_.size() >= kAcceptQueueCapacity;
   }
   if (pause && !intake_paused_.exchange(true)) {
     // Already-open keep-alive connections keep queueing (each bounded by
@@ -366,7 +374,7 @@ void ProxyServer::worker_loop() {
       job = std::move(jobs_.front());
       jobs_.pop_front();
       resume = intake_paused_.load(std::memory_order_relaxed) &&
-               jobs_.size() <= cfg_.accept_queue_capacity / 2;
+               jobs_.size() <= kAcceptQueueCapacity / 2;
     }
     if (resume && intake_paused_.exchange(false)) {
       http_loop_->resume_accept();
@@ -487,27 +495,32 @@ HttpResponse ProxyServer::handle_ram_miss(const HttpRequest& req,
   // invalidate(id) that runs meanwhile is refused when it tries to store.
   const FillTicket ticket = fill_ticket();
 
-  // 1b. Disk tier: a RAM miss can still be a node hit. The response carries
-  // the file extent itself — the reactor ships it with sendfile(2), so the
-  // body never crosses userspace on the serve path. RAM-sized bodies also
-  // promote back up (the one pread this path pays), without re-advertising
-  // (the node never stopped holding the object, so peers learned nothing
-  // new); oversized bodies stay disk-resident — re-putting them would only
-  // rewrite the same file. Peer probes see a plain HIT, clients see which
-  // tier answered.
+  // 1b. Disk tier: a RAM miss can still be a node hit. A RAM-sized body is
+  // read through the checksummed get(), promoted back into RAM without
+  // re-advertising (the node never stopped holding the object, so peers
+  // learned nothing new), and served from that buffer; a body that fails
+  // its checksum is dropped and the request falls through as a miss. A
+  // larger body stays disk-resident — re-putting it would only rewrite the
+  // same file — and the response carries the file extent itself, which the
+  // reactor ships with sendfile(2) so the bytes never cross userspace. Peer
+  // probes see a plain HIT, clients see which tier answered.
   if (disk_) {
     const auto t0 = std::chrono::steady_clock::now();
-    if (auto body = disk_->get_body(*id)) {
-      c_.disk_hits.inc();
-      if (body->size() <= cache_.max_object_bytes()) {
-        auto bytes = std::make_shared<std::string>();
-        if (body->append_to(*bytes)) {
-          store_internal(*id, std::move(bytes), /*replace_existing=*/true,
-                         /*pushed=*/false, /*advertise=*/false, ticket);
-          c_.disk_promotions.inc();
-          promote_ms_.record(ms_since(t0));
-        }
+    std::optional<cache::Body> body;
+    if (const auto size = disk_->body_bytes(*id)) {
+      if (*size > cache_.max_object_bytes()) {
+        body = disk_->get_body(*id);
+      } else if (auto bytes = disk_->get(*id)) {
+        auto shared = std::make_shared<const std::string>(std::move(*bytes));
+        store_internal(*id, shared, /*replace_existing=*/true,
+                       /*pushed=*/false, /*advertise=*/false, ticket);
+        c_.disk_promotions.inc();
+        promote_ms_.record(ms_since(t0));
+        body = cache::Body(std::move(shared));
       }
+    }
+    if (body) {
+      c_.disk_hits.inc();
       if (cache_only) {
         c_.peer_serves.inc();
       } else {
@@ -674,50 +687,33 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
 void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
                                  cache::BodyPtr body,
                                  std::uint64_t disk_ticket) {
-  if (cfg_.disk_demote_async) {
-    // Hand the victim to the background demotion writer: the worker that
-    // triggered the eviction returns immediately instead of blocking on a
-    // disk write. The shared buffer keeps the bytes alive until the writer
-    // is done with them. The invalidate/keep decision rides the completion
-    // callback — hints stay valid only once the object really reached disk.
-    const auto t0 = std::chrono::steady_clock::now();
-    const ObjectId id = victim.id;
-    const bool queued = disk_->put_async(
-        victim.id, std::move(body), victim.version,
-        [this, id, t0](bool ok) {
-          demote_ms_.record(ms_since(t0));
-          if (ok) {
-            c_.disk_demotions.inc();
-            return;
-          }
-          std::lock_guard lock(queue_mu_);
-          queue_update_locked(proto::Action::kInvalidate, id, self(),
-                              MachineId{0});
-        },
-        disk_ticket);
-    if (!queued) {
-      // Queue full (or stopped): the demotion is shed and the object has
-      // left the node — say so now rather than after a blocking write.
-      std::lock_guard lock(queue_mu_);
-      queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
-                          MachineId{0});
-    }
-    return;
-  }
-
+  // Hand the victim to the background demotion writer: the worker that
+  // triggered the eviction returns immediately instead of blocking on a
+  // disk write. The shared buffer keeps the bytes alive until the writer is
+  // done with them. The invalidate/keep decision rides the completion
+  // callback — hints stay valid only once the object really reached disk.
   const auto t0 = std::chrono::steady_clock::now();
-  const bool ok = disk_->put(victim.id, *body, victim.version, disk_ticket);
-  demote_ms_.record(ms_since(t0));
-  if (ok) {
-    // The node still holds the object (one tier down): hints stay valid,
-    // nothing is advertised.
-    c_.disk_demotions.inc();
-    return;
+  const ObjectId id = victim.id;
+  const bool queued = disk_->put_async(
+      victim.id, std::move(body), victim.version,
+      [this, id, t0](bool ok) {
+        demote_ms_.record(ms_since(t0));
+        if (ok) {
+          c_.disk_demotions.inc();
+          return;
+        }
+        std::lock_guard lock(queue_mu_);
+        queue_update_locked(proto::Action::kInvalidate, id, self(),
+                            MachineId{0});
+      },
+      disk_ticket);
+  if (!queued) {
+    // Queue full (or stopped): the demotion is shed and the object has left
+    // the node — say so now rather than after a blocking write.
+    std::lock_guard lock(queue_mu_);
+    queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
+                        MachineId{0});
   }
-  // The write failed: the object has left the node after all.
-  std::lock_guard lock(queue_mu_);
-  queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
-                      MachineId{0});
 }
 
 // ---------------------------------------------------------------------------
@@ -790,7 +786,7 @@ HttpResponse ProxyServer::handle_updates(const HttpRequest& req) {
     }
     if (u.location == self()) continue;
     const int next_hops = hops + 1;
-    if (next_hops >= cfg_.max_hint_hops) {
+    if (next_hops >= kMaxHintHops) {
       c_.updates_hop_capped.inc();
       continue;
     }
@@ -901,7 +897,7 @@ void ProxyServer::push_to_peers(ObjectId id, const cache::Body& body,
     put.headers.emplace_back("X-Push-Targets",
                              proto::encode_push_targets(others));
     CallOptions opts;
-    opts.deadline_seconds = cfg_.metadata_deadline_seconds;
+    opts.deadline_seconds = kMetadataDeadlineSeconds;
     const auto sent = http_call(pool_, nb, put, opts);
     if (sent && sent->status == 200) {
       record_peer_success(nb);
@@ -968,8 +964,7 @@ void ProxyServer::enqueue_pending_locked(PendingUpdate update) {
   // Wake the flusher when a trigger could now be armed. Size: at the
   // threshold exactly (later pushes would be redundant wakeups). Age: on the
   // first pending update, to start the wait_until clock.
-  if ((cfg_.flush_max_pending > 0 &&
-       pending_.size() == cfg_.flush_max_pending) ||
+  if (pending_.size() == kFlushMaxPending ||
       (cfg_.flush_interval_seconds > 0 && pending_.size() == 1)) {
     queue_cv_.notify_one();
   }
@@ -990,8 +985,7 @@ void ProxyServer::flusher_loop() {
   auto next_save = std::chrono::steady_clock::now() + save_period;
   std::unique_lock lock(queue_mu_);
   while (!stopping_.load()) {
-    const bool size_due = cfg_.flush_max_pending > 0 &&
-                          pending_.size() >= cfg_.flush_max_pending;
+    const bool size_due = pending_.size() >= kFlushMaxPending;
     const bool age_armed =
         !pending_.empty() && cfg_.flush_interval_seconds > 0;
     const bool age_due =
@@ -1150,7 +1144,6 @@ void ProxyServer::record_peer_failure(std::uint16_t port) {
 // ---------------------------------------------------------------------------
 
 bool ProxyServer::note_seen_locked(const proto::HintUpdate& update) {
-  if (cfg_.seen_updates_capacity == 0) return true;  // dedup disabled
   // An arriving action retires its complement: insert-evict-insert cycles
   // keep propagating instead of being swallowed as duplicates.
   seen_updates_.erase(proto::complement_key(update));
@@ -1159,7 +1152,7 @@ bool ProxyServer::note_seen_locked(const proto::HintUpdate& update) {
   seen_order_.push_back(key);
   // FIFO bound. A retired complement may leave a stale deque slot; popping
   // it is a harmless no-op (slightly early forgetting, never a leak).
-  while (seen_order_.size() > cfg_.seen_updates_capacity) {
+  while (seen_order_.size() > kSeenUpdatesCapacity) {
     seen_updates_.erase(seen_order_.front());
     seen_order_.pop_front();
   }

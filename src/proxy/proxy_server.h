@@ -139,13 +139,6 @@ struct ProxyConfig {
   // never needs it (the page cache outlives the process); surviving power
   // loss does. Tests and benches turn it off for speed.
   bool disk_fsync = true;
-  // Demote RAM eviction victims through the disk store's background writer
-  // instead of synchronously on the evicting worker: a burst of evictions
-  // never stalls request handlers on disk I/O. Clean stop() drains the
-  // queue; a full queue sheds the demotion (counted, object forgotten).
-  bool disk_demote_async = true;
-  // Bound on the async demotion backlog (jobs, each holding one body).
-  std::size_t demote_queue_depth = 256;
   // Path of the versioned hint-cache image. When set, an existing image is
   // loaded at startup (warm hint table — a failed load logs the reason and
   // starts cold) and a fresh image is saved crash-atomically on stop().
@@ -164,29 +157,13 @@ struct ProxyConfig {
   // Fixed pool for the requests that may block (everything but RAM hits,
   // which the reactor thread serves itself).
   std::size_t workers = 8;
-  // Parsed-but-unclaimed requests bound for the workers that the daemon
-  // buffers; when full, the reactor pauses accepting and further
-  // backpressure is the kernel listen backlog. RAM hits never queue.
-  std::size_t accept_queue_capacity = 128;
-
-  // --- event-driven I/O ---
-  // Kernel listen backlog; <= 0 means SOMAXCONN.
-  int listen_backlog = 0;
-  // Inbound keep-alive connections idle longer than this are closed by the
-  // reactor's sweep; <= 0 disables the sweep.
-  double keepalive_idle_seconds = 30.0;
-  // Outbound persistent-connection pool: parked connections per peer, and
-  // how long one may sit idle before it is discarded instead of reused.
-  std::size_t pool_max_idle_per_peer = 4;
-  double pool_idle_timeout_seconds = 30.0;
 
   // --- outbound hint batching ---
-  // The flusher thread sends as soon as this many updates are pending...
-  std::size_t flush_max_pending = 1024;
-  // ...or once the oldest pending update has waited this long. 0 disables
-  // the age trigger (tests and examples drive flush_hints() explicitly).
-  // The bound is fixed: the prototype flushed on a period drawn uniformly
-  // from 0-60 s, and this daemon does not randomize it.
+  // The flusher thread sends once the oldest pending update has waited this
+  // long (and always at kFlushMaxPending updates). 0 disables the age
+  // trigger (tests and examples drive flush_hints() explicitly). The bound
+  // is fixed: the prototype flushed on a period drawn uniformly from 0-60 s,
+  // and this daemon does not randomize it.
   double flush_interval_seconds = 0.0;
 
   // --- failure budget ---
@@ -195,10 +172,6 @@ struct ProxyConfig {
   double peer_deadline_seconds = 0.5;
   // Data-path origin fetch: single-shot with its own budget.
   double origin_deadline_seconds = 5.0;
-  // Metadata (/updates, /register, PUT push): total budget per call,
-  // covering every retry attempt and backoff sleep.
-  double metadata_deadline_seconds = 1.0;
-  int metadata_max_attempts = 3;
 
   // --- neighbour health ---
   // Consecutive call failures before a neighbour is quarantined.
@@ -206,18 +179,21 @@ struct ProxyConfig {
   // While quarantined, at most one re-probe is admitted per this window;
   // everything else degrades to origin-direct service immediately.
   double quarantine_seconds = 5.0;
-
-  // --- hint-forwarding loop control ---
-  // A received update is re-advertised at most this many hops from its
-  // origin; 1 means "apply locally, never relay".
-  int max_hint_hops = 8;
-  // Bounded FIFO of recently seen update keys used to drop duplicate
-  // re-advertisements in cyclic topologies.
-  std::size_t seen_updates_capacity = 4096;
 };
 
 class ProxyServer {
  public:
+  // Parsed requests bound for the workers that the daemon buffers; at this
+  // depth the reactor pauses accepting (further backpressure is the kernel
+  // listen backlog) until the workers drain it to half. RAM hits never
+  // queue.
+  static constexpr std::size_t kAcceptQueueCapacity = 128;
+  // The flusher thread sends as soon as this many updates are pending.
+  static constexpr std::size_t kFlushMaxPending = 1024;
+  // A received update is re-advertised at most this many hops from its
+  // origin.
+  static constexpr int kMaxHintHops = 8;
+
   explicit ProxyServer(ProxyConfig cfg);
   ~ProxyServer();
 
@@ -359,11 +335,10 @@ class ProxyServer {
   // object the node never stopped holding, so peers learned nothing new.
   void store_internal(ObjectId id, cache::BodyPtr body, bool replace_existing,
                       bool pushed, bool advertise, FillTicket ticket);
-  // Hands the victim to the disk tier — through the async writer when
-  // configured, else synchronously — carrying the disk ticket read when it
-  // was evicted. If the demotion is shed, cancelled by an invalidation, or
-  // the write fails, the object has left the node, so the hint invalidation
-  // is queued.
+  // Hands the victim to the disk tier's background writer, carrying the
+  // disk ticket read when it was evicted. If the demotion is shed, cancelled
+  // by an invalidation, or the write fails, the object has left the node, so
+  // the hint invalidation is queued.
   void demote_to_disk(const cache::LruCache::Entry& victim,
                       cache::BodyPtr body, std::uint64_t disk_ticket);
   void load_hint_image();

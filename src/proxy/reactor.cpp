@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -25,104 +24,66 @@ constexpr std::size_t kMaxWriteIov = 16;
 // How long the listener rests after accept4 ran out of fds.
 constexpr double kAcceptRetrySeconds = 0.05;
 
+// Parse-ahead bound: requests in flight plus responses queued for write on
+// one connection. Further pipelined bytes stay in the buffer until
+// responses drain.
+constexpr std::size_t kMaxPipeline = 16;
+
+// A client shoving pipelined data faster than we respond is bounded by the
+// largest legal message; beyond that it is abuse.
+constexpr std::size_t kMaxBufferedBytes =
+    HttpParser::Limits{}.max_head_bytes + HttpParser::Limits{}.max_body_bytes;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// TimerWheel
+// TimerQueue
 
-TimerWheel::TimerWheel(double tick_seconds, std::size_t slots)
-    : epoch_(Clock::now()),
-      tick_seconds_(tick_seconds > 0 ? tick_seconds : 0.01),
-      slots_(slots > 0 ? slots : 1) {}
-
-std::uint64_t TimerWheel::tick_of(Clock::time_point t) const {
-  const double secs = std::chrono::duration<double>(t - epoch_).count();
-  if (secs <= 0) return 0;
-  return static_cast<std::uint64_t>(secs / tick_seconds_);
-}
-
-std::uint64_t TimerWheel::add(Clock::time_point now, double delay_seconds,
+std::uint64_t TimerQueue::add(Clock::time_point now, double delay_seconds,
                               std::function<void()> fn) {
-  const std::uint64_t delay_ticks =
-      delay_seconds <= 0
-          ? 0
-          : static_cast<std::uint64_t>(
-                std::ceil(delay_seconds / tick_seconds_));
-  // Never schedule into an already-processed tick: such an entry would sit
-  // in its slot forever.
-  std::uint64_t due = tick_of(now) + delay_ticks;
-  if (due <= cursor_) due = cursor_ + 1;
-
+  const Clock::time_point due =
+      now + std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(std::max(0.0, delay_seconds)));
   const std::uint64_t id = next_id_++;
-  slots_[due % slots_.size()].push_back(Entry{id, due, std::move(fn)});
-  by_id_.emplace(id, due);
-  due_ticks_.insert(due);
+  queue_.emplace(std::make_pair(due, id), std::move(fn));
+  deadline_of_.emplace(id, due);
   return id;
 }
 
-bool TimerWheel::cancel(std::uint64_t id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return false;
-  const std::uint64_t due = it->second;
-  auto& slot = slots_[due % slots_.size()];
-  for (std::size_t i = 0; i < slot.size(); ++i) {
-    if (slot[i].id == id) {
-      slot[i] = std::move(slot.back());
-      slot.pop_back();
-      break;
-    }
-  }
-  due_ticks_.erase(due_ticks_.find(due));
-  by_id_.erase(it);
+bool TimerQueue::cancel(std::uint64_t id) {
+  const auto it = deadline_of_.find(id);
+  if (it == deadline_of_.end()) return false;
+  queue_.erase({it->second, id});
+  deadline_of_.erase(it);
   return true;
 }
 
-void TimerWheel::advance(Clock::time_point now) {
-  const std::uint64_t target = tick_of(now);
-  if (target <= cursor_) return;
-  if (by_id_.empty()) {
-    cursor_ = target;
-    return;
+void TimerQueue::advance(Clock::time_point now) {
+  // The due set is fixed before any callback runs, so a callback that adds
+  // a timer already due waits for the next advance.
+  std::vector<std::uint64_t> due;
+  for (auto it = queue_.begin(); it != queue_.end() && it->first.first <= now;
+       ++it) {
+    due.push_back(it->first.second);
   }
-  // When more ticks elapsed than the wheel has slots, one pass over every
-  // slot covers all of them.
-  std::uint64_t begin = cursor_ + 1;
-  if (target - cursor_ > slots_.size()) begin = target - slots_.size() + 1;
-
-  std::vector<std::function<void()>> fire;
-  for (std::uint64_t t = begin; t <= target; ++t) {
-    auto& slot = slots_[t % slots_.size()];
-    for (std::size_t i = 0; i < slot.size();) {
-      if (slot[i].due_tick <= target) {
-        fire.push_back(std::move(slot[i].fn));
-        by_id_.erase(slot[i].id);
-        due_ticks_.erase(due_ticks_.find(slot[i].due_tick));
-        slot[i] = std::move(slot.back());
-        slot.pop_back();
-      } else {
-        ++i;
-      }
-    }
+  for (const std::uint64_t id : due) {
+    const auto it = deadline_of_.find(id);
+    if (it == deadline_of_.end()) continue;  // cancelled by an earlier callback
+    auto node = queue_.extract({it->second, id});
+    deadline_of_.erase(it);
+    node.mapped()();
   }
-  cursor_ = target;
-  // Fired after the bookkeeping settles: callbacks may add or cancel
-  // timers, including rescheduling themselves.
-  for (auto& fn : fire) fn();
 }
 
-int TimerWheel::next_delay_ms(Clock::time_point now) const {
-  if (due_ticks_.empty()) return -1;
-  const std::uint64_t earliest = *due_ticks_.begin();
-  const auto due_time =
-      epoch_ + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(
-                       static_cast<double>(earliest) * tick_seconds_));
-  const auto diff =
-      std::chrono::duration_cast<std::chrono::milliseconds>(due_time - now)
-          .count();
-  if (diff <= 0) return 0;
+int TimerQueue::next_delay_ms(Clock::time_point now) const {
+  if (queue_.empty()) return -1;
+  const auto diff = queue_.begin()->first.first - now;
+  if (diff <= Clock::duration::zero()) return 0;
   // +1 so the wait lands at-or-after the due instant despite ms truncation.
-  return static_cast<int>(diff) + 1;
+  return static_cast<int>(
+             std::chrono::duration_cast<std::chrono::milliseconds>(diff)
+                 .count()) +
+         1;
 }
 
 // ---------------------------------------------------------------------------
@@ -188,7 +149,6 @@ HttpLoop::HttpLoop(Reactor& reactor, int listen_fd, Options opts,
       listen_fd_(listen_fd),
       opts_(opts),
       dispatch_(std::move(dispatch)) {
-  if (opts_.max_pipeline == 0) opts_.max_pipeline = 1;
   listener_reg_ =
       reactor_.io().add_listener(listen_fd_, [this](int fd) { on_accepted(fd); });
   schedule_sweep();
@@ -197,7 +157,7 @@ HttpLoop::HttpLoop(Reactor& reactor, int listen_fd, Options opts,
 HttpLoop::~HttpLoop() { shutdown(); }
 
 void HttpLoop::schedule_sweep() {
-  if (shut_down_ || opts_.idle_timeout_seconds <= 0) return;
+  if (shut_down_) return;
   const double interval = std::max(0.05, opts_.idle_timeout_seconds / 4.0);
   sweep_timer_ = reactor_.timers().add(Clock::now(), interval, [this] {
     sweep_idle();
@@ -213,7 +173,7 @@ void HttpLoop::on_accepted(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-  auto conn = std::make_unique<Conn>(opts_.parser_limits);
+  auto conn = std::make_unique<Conn>();
   conn->fd = fd;
   conn->token = next_token_++;
   conn->last_activity = Clock::now();
@@ -256,10 +216,7 @@ void HttpLoop::on_recv(std::uint64_t token, const char* data, ssize_t n) {
   if (n > 0) {
     c->last_activity = Clock::now();
     c->buffered.append(data, static_cast<std::size_t>(n));
-    // A client shoving pipelined data faster than we respond is bounded by
-    // the largest legal message; beyond that it is abuse.
-    if (c->buffered.size() > opts_.parser_limits.max_head_bytes +
-                                 opts_.parser_limits.max_body_bytes) {
+    if (c->buffered.size() > kMaxBufferedBytes) {
       close_conn(token);
       return;
     }
@@ -304,7 +261,7 @@ void HttpLoop::pump_inner(std::uint64_t token) {
     }
     // Parse-ahead bound: leave further pipelined bytes buffered until the
     // write queue drains (continue_write re-pumps then).
-    if (c->pipeline_load() >= opts_.max_pipeline) return;
+    if (c->pipeline_load() >= kMaxPipeline) return;
 
     std::size_t used = 0;
     if (!c->buffered.empty()) {

@@ -1,11 +1,11 @@
 // The proxy's event-driven I/O core: a single-threaded reactor over the
-// epoll engine (io_backend.h), a coarse hashed timer wheel for deadlines,
-// and an HTTP server harness (HttpLoop) that multiplexes every inbound
-// connection over it.
+// epoll engine (io_backend.h), a deadline-ordered timer queue, and an HTTP
+// server harness (HttpLoop) that multiplexes every inbound connection over
+// it.
 //
 // Ownership model:
 //   - Reactor owns the IoBackend (the epoll instance plus the wakeup
-//     eventfd) and the timer wheel. run() executes on exactly one thread
+//     eventfd) and the timer queue. run() executes on exactly one thread
 //     (the "loop thread"); every callback, timer, and posted task fires
 //     there, so per-connection state needs no locks.
 //   - HttpLoop owns the per-connection state machines: an incremental
@@ -36,11 +36,12 @@
 // decision). A non-keep-alive request ends parse-ahead; its response is the
 // last thing written before the close.
 //
-// Deadlines: a periodic sweep over the timer wheel closes connections that
+// Deadlines: a periodic sweep from the timer queue closes connections that
 // have been idle (or stuck mid-message) past the idle timeout, so a wedged
 // or slow-trickling client can never pin a connection forever. When accept
 // fails for lack of fds, the listener is disabled and retried from the
-// timer wheel instead of spinning on its level-triggered readiness.
+// timer queue instead of spinning on its level-triggered readiness. Those
+// two are the only timers an HttpLoop ever arms.
 #pragma once
 
 #include <atomic>
@@ -51,7 +52,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -62,47 +62,38 @@
 
 namespace bh::proxy {
 
-// Hashed timer wheel: O(1) add/cancel, coarse `tick_seconds` resolution —
-// plenty for connection deadlines, which are 10ms+ quantities. Not
-// thread-safe; lives on the loop thread.
-class TimerWheel {
+// Timers ordered by exact deadline. The loop holds at most a few (the idle
+// sweep and the accept retry), so one ordered map is all the structure
+// needed. Not thread-safe; lives on the loop thread.
+class TimerQueue {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit TimerWheel(double tick_seconds = 0.01, std::size_t slots = 256);
-
-  // Fires `fn` once, `delay_seconds` from `now` (rounded up to a tick).
-  // Returns an id usable with cancel().
+  // Fires `fn` once, `delay_seconds` after `now`. Returns an id usable with
+  // cancel().
   std::uint64_t add(Clock::time_point now, double delay_seconds,
                     std::function<void()> fn);
   bool cancel(std::uint64_t id);
 
-  // Fires every timer due at `now`. Callbacks may add or cancel timers.
+  // Fires, in deadline order, every timer that is due at `now` and was
+  // pending when the call began. Callbacks may add or cancel timers; one
+  // that re-adds itself fires on a later advance.
   void advance(Clock::time_point now);
 
   // Milliseconds until the next timer is due at `now` (0 if already due),
   // or -1 when none are pending — the backend's poll timeout.
   int next_delay_ms(Clock::time_point now) const;
 
-  std::size_t pending() const { return by_id_.size(); }
+  std::size_t pending() const { return deadline_of_.size(); }
 
  private:
-  struct Entry {
-    std::uint64_t id;
-    std::uint64_t due_tick;
-    std::function<void()> fn;
-  };
-
-  std::uint64_t tick_of(Clock::time_point t) const;
-
-  Clock::time_point epoch_;
-  double tick_seconds_;
-  std::vector<std::vector<Entry>> slots_;
-  // id -> due_tick for cancel; due-tick multiset for next_delay_ms.
-  std::unordered_map<std::uint64_t, std::uint64_t> by_id_;
-  std::multiset<std::uint64_t> due_ticks_;
+  // Keyed by (deadline, id): ids are unique, and equal deadlines fire in
+  // the order they were added.
+  std::map<std::pair<Clock::time_point, std::uint64_t>,
+           std::function<void()>>
+      queue_;
+  std::unordered_map<std::uint64_t, Clock::time_point> deadline_of_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t cursor_ = 0;  // last tick fully processed
 };
 
 class Reactor {
@@ -115,7 +106,7 @@ class Reactor {
   // --- loop-thread-only API ---
   // The engine, for listener/stream registrations (HttpLoop).
   IoBackend& io() { return backend_; }
-  TimerWheel& timers() { return timers_; }
+  TimerQueue& timers() { return timers_; }
 
   // --- any-thread API ---
   // Enqueues `fn` to run on the loop thread; wakes a blocked poll. Safe
@@ -134,7 +125,7 @@ class Reactor {
 
  private:
   IoBackend backend_;
-  TimerWheel timers_;
+  TimerQueue timers_;
 
   std::mutex tasks_mu_;
   std::deque<std::function<void()>> tasks_;
@@ -148,13 +139,8 @@ class HttpLoop {
  public:
   struct Options {
     // Quiet keep-alive connections (and connections stuck mid-message) are
-    // closed after this long; <= 0 disables the sweep.
+    // closed after this long; must be > 0.
     double idle_timeout_seconds = 30.0;
-    HttpParser::Limits parser_limits{};
-    // Parse-ahead bound: requests in flight plus responses queued for write
-    // on one connection. Further pipelined bytes stay in the buffer until
-    // responses drain.
-    std::size_t max_pipeline = 16;
   };
 
   // `dispatch` runs on the loop thread with each complete request; it must
@@ -233,8 +219,7 @@ class HttpLoop {
     bool in_pump = false;  // defer write kicks so one flush covers the batch
     std::chrono::steady_clock::time_point last_activity;
 
-    explicit Conn(HttpParser::Limits limits)
-        : parser(HttpParser::Kind::kRequest, limits) {}
+    Conn() : parser(HttpParser::Kind::kRequest) {}
 
     std::size_t pipeline_load() const {
       return inflight + parked.size() + out.size();
@@ -253,12 +238,12 @@ class HttpLoop {
   // caller's feet; a dangling Conn* is never held across such a step.
   void on_accepted(int fd);
   // accept4 ran out of fds: disable the listener and re-enable it from the
-  // timer wheel, unless backpressure still holds it paused.
+  // timer queue, unless backpressure still holds it paused.
   void back_off_accept();
   void on_recv(std::uint64_t token, const char* data, ssize_t n);
   // Runs buffered bytes through the parser, dispatching every complete
-  // request (parse-ahead) up to max_pipeline; flushes coalesced writes once
-  // the batch is parsed.
+  // request (parse-ahead) up to the pipeline bound; flushes coalesced writes
+  // once the batch is parsed.
   void pump(std::uint64_t token);
   void pump_inner(std::uint64_t token);
   void start_response(std::uint64_t req_token, HttpResponse resp);

@@ -174,7 +174,7 @@ std::optional<std::string> TcpStream::read_to_end(std::size_t limit) {
 
 void TcpStream::shutdown_write() { ::shutdown(fd_.get(), SHUT_WR); }
 
-std::optional<TcpListener> TcpListener::bind(std::uint16_t port, int backlog) {
+std::optional<TcpListener> TcpListener::bind(std::uint16_t port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return std::nullopt;
   const int one = 1;
@@ -188,13 +188,12 @@ std::optional<TcpListener> TcpListener::bind(std::uint16_t port, int backlog) {
   if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     return std::nullopt;
   }
-  if (backlog <= 0) backlog = SOMAXCONN;
-  if (::listen(fd.get(), backlog) != 0) return std::nullopt;
+  if (::listen(fd.get(), SOMAXCONN) != 0) return std::nullopt;
   return TcpListener(std::move(fd), ntohs(addr.sin_port));
 }
 
-std::optional<TcpListener> TcpListener::bind_ephemeral(int backlog) {
-  return bind(0, backlog);
+std::optional<TcpListener> TcpListener::bind_ephemeral() {
+  return bind(0);
 }
 
 std::optional<TcpStream> TcpListener::accept() {

@@ -79,14 +79,13 @@ class TcpStream {
 
 class TcpListener {
  public:
-  // Binds 127.0.0.1:`port` (0 = kernel-chosen ephemeral port); nullopt on
-  // failure — for a fixed port that usually means EADDRINUSE. `backlog`
-  // sizes the kernel accept queue — a serving daemon wants the SOMAXCONN
-  // ceiling (the default, backlog <= 0), a test may want it tiny.
-  static std::optional<TcpListener> bind(std::uint16_t port, int backlog = 0);
+  // Binds 127.0.0.1:`port` (0 = kernel-chosen ephemeral port) with a
+  // SOMAXCONN accept queue; nullopt on failure — for a fixed port that
+  // usually means EADDRINUSE.
+  static std::optional<TcpListener> bind(std::uint16_t port);
 
   // Binds 127.0.0.1 on an ephemeral port; nullopt on failure.
-  static std::optional<TcpListener> bind_ephemeral(int backlog = 0);
+  static std::optional<TcpListener> bind_ephemeral();
 
   std::uint16_t port() const { return port_; }
 

@@ -6,8 +6,11 @@
 // topologies, and quarantine/rejoin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -123,21 +126,30 @@ FetchResult fetch(std::uint16_t proxy_port, ObjectId id, std::size_t size) {
   return r;
 }
 
-// POSTs `proxy` a one-update batch about `id` at `location`, sent as if
-// from `location` itself — the wire-level way to tell a daemon about an
-// arbitrary (possibly dead) peer.
-void post_update(std::uint16_t proxy_port, proto::Action action, ObjectId id,
-                 std::uint16_t location) {
-  const proto::HintUpdate update{action, id, MachineId{location}};
-  const auto body = proto::encode_body(std::span(&update, 1));
+// POSTs `proxy` one /updates batch sent as if from daemon `from`, whose
+// updates have already travelled `hops` relay hops.
+void post_updates(std::uint16_t proxy_port,
+                  std::span<const proto::HintUpdate> updates,
+                  std::uint16_t from, int hops = 0) {
+  const auto body = proto::encode_body(updates);
   HttpRequest post;
   post.method = "POST";
   post.target = "/updates";
-  post.headers.emplace_back("X-From", std::to_string(location));
+  post.headers.emplace_back("X-From", std::to_string(from));
+  post.headers.emplace_back("X-Hop", std::to_string(hops));
   post.body.assign(reinterpret_cast<const char*>(body.data()), body.size());
   auto resp = http_call(proxy_port, post);
   ASSERT_TRUE(resp.has_value());
   ASSERT_EQ(resp->status, 200);
+}
+
+// POSTs `proxy` a one-update batch about `id` at `location`, sent as if
+// from `location` itself — the wire-level way to tell a daemon about an
+// arbitrary (possibly dead) peer.
+void post_update(std::uint16_t proxy_port, proto::Action action, ObjectId id,
+                 std::uint16_t location, int hops = 0) {
+  const proto::HintUpdate update{action, id, MachineId{location}};
+  post_updates(proxy_port, std::span(&update, 1), location, hops);
 }
 
 // The daemon counter `bh.proxy.<name>`, as `GET /metrics` reports it.
@@ -388,6 +400,49 @@ TEST(ProxyDiskTierTest, DemotesEvictionsAndServesFromDisk) {
   proxy.invalidate(first);
   EXPECT_FALSE(proxy.disk()->contains(first));
   EXPECT_EQ(fetch(proxy.port(), first, 300).cache, "MISS");
+  EXPECT_EQ(origin.requests_served(), 3u);
+}
+
+TEST(ProxyDiskTierTest, CorruptDiskBodyIsDroppedAndRefetched) {
+  // A demoted body with one flipped bit must fail the checksum on its way
+  // back to RAM: dropped and counted, then refetched from the origin —
+  // never served, never promoted.
+  OriginServer origin;
+  ProxyConfig cfg;
+  cfg.origin_port = origin.port();
+  cfg.capacity_bytes = 400;  // one 300-byte object at a time in RAM
+  cfg.disk_path = fresh_state_dir("corrupt");
+  cfg.disk_fsync = false;
+  ProxyServer proxy(cfg);
+
+  const ObjectId first{33}, second{34};
+  EXPECT_EQ(fetch(proxy.port(), first, 300).cache, "MISS");
+  EXPECT_EQ(fetch(proxy.port(), second, 300).cache, "MISS");  // evicts `first`
+  proxy.disk()->drain_async();
+  ASSERT_TRUE(proxy.disk()->contains(first));
+
+  // The object file is <root>/<low byte>/<16-hex id>.obj; its last byte is
+  // the body's last byte.
+  char name[32];
+  std::snprintf(name, sizeof name, "/%02x/%016llx.obj",
+                static_cast<unsigned>(first.value & 0xff),
+                static_cast<unsigned long long>(first.value));
+  {
+    std::fstream f(cfg.disk_path + name,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(-1, std::ios::end);
+    char byte = 0;
+    ASSERT_TRUE(f.get(byte));
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(byte ^ 0x01));
+  }
+
+  const FetchResult back = fetch(proxy.port(), first, 300);
+  EXPECT_EQ(back.status, 200);
+  EXPECT_EQ(back.cache, "MISS");
+  EXPECT_EQ(back.body, origin_body(first, 1, 300));
+  EXPECT_EQ(counter(proxy, "disk.corrupt_dropped"), 1u);
   EXPECT_EQ(origin.requests_served(), 3u);
 }
 
@@ -883,14 +938,15 @@ TEST(FaultPathTest, HopBoundCapsRelay) {
   ProxyServer c(cc);
   ProxyConfig cb = base;
   cb.name = "b";
-  cb.max_hint_hops = 1;  // apply locally, never relay
   cb.hint_neighbors = {c.port()};
   ProxyServer b(cb);
-  a.add_hint_neighbor(b.port());
 
   const ObjectId id{80};
   fetch(a.port(), id, 64);
-  a.flush_hints();
+  // a's inform reaches b one hop short of the bound: b applies it locally
+  // but may not relay it.
+  post_update(b.port(), proto::Action::kInform, id, a.port(),
+              /*hops=*/ProxyServer::kMaxHintHops - 1);
   b.flush_hints();
 
   EXPECT_GE(counter(b, "updates_hop_capped"), 1u);
@@ -1119,16 +1175,28 @@ TEST(ProxyServerTest, FlusherSendsOnSizeTrigger) {
   ca.name = "a";
   ca.origin_port = origin.port();
   ProxyServer a(ca);
+  ProxyConfig cc;
+  cc.name = "c";
+  cc.origin_port = origin.port();
+  ProxyServer c(cc);
   ProxyConfig cb;
   cb.name = "b";
   cb.origin_port = origin.port();
   cb.hint_neighbors = {a.port()};
-  cb.flush_max_pending = 2;  // the second queued inform arms the flusher
   ProxyServer b(cb);
 
   const ObjectId first{91}, second{92};
-  fetch(b.port(), first, 64);
-  fetch(b.port(), second, 64);
+  fetch(c.port(), first, 64);
+  fetch(c.port(), second, 64);
+  // c tells b about kFlushMaxPending objects in one batch, the first two
+  // being the ones c holds. b queues each as a relay to a, and the last one
+  // arms the flusher's size trigger.
+  std::vector<proto::HintUpdate> batch;
+  for (std::size_t i = 0; i < ProxyServer::kFlushMaxPending; ++i) {
+    batch.push_back({proto::Action::kInform, ObjectId{first.value + i},
+                     MachineId{c.port()}});
+  }
+  post_updates(b.port(), batch, c.port());
 
   // No manual flush_hints(): the flusher thread must drain the batch.
   const auto deadline =
@@ -1404,6 +1472,73 @@ TEST(ProxyKeepAliveTest, ReactorAndPoolMetricsExported) {
     EXPECT_NE(text->body.str().find(name), std::string::npos)
         << "missing metric: " << name;
   }
+}
+
+// --- backpressure: the accept pause bounds the worker queue ---
+
+TEST(ProxyBackpressureTest, FullQueuePausesAcceptUntilWorkersDrain) {
+  // The origin is a blackhole: a listener nobody accepts from, so the one
+  // worker's first origin fetch hangs until the listener closes.
+  auto blackhole = TcpListener::bind_ephemeral();
+  ASSERT_TRUE(blackhole.has_value());
+  ProxyConfig cfg;
+  cfg.origin_port = blackhole->port();
+  cfg.workers = 1;
+  ProxyServer proxy(cfg);
+  const auto gauge = [&proxy](const char* name) {
+    return proxy.metrics_snapshot().gauge(std::string("bh.proxy.") + name);
+  };
+
+  // One miss per connection. Until the queue is full, each client waits
+  // for its request to be queued before the next connects: the first
+  // request holds the worker and the next kCap fill the queue. The last 32
+  // can only land in the kernel listen backlog.
+  constexpr std::size_t kCap = ProxyServer::kAcceptQueueCapacity;
+  constexpr std::size_t kClients = kCap + 32;
+  std::vector<TcpStream> clients;
+  clients.reserve(kClients);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    auto stream = TcpStream::connect(proxy.port());
+    ASSERT_TRUE(stream.has_value()) << "client " << i;
+    HttpRequest req;
+    req.method = "GET";
+    req.target = object_path(ObjectId{0x5000 + i}, 64);
+    ASSERT_TRUE(stream->write_all(serialize(req)));
+    clients.push_back(std::move(*stream));
+    if (i == 0) {
+      ASSERT_TRUE(wait_until([&] { return counter(proxy, "requests") == 1; }));
+    } else if (i <= kCap) {
+      ASSERT_TRUE(wait_until(
+          [&] { return gauge("queue_depth") == static_cast<double>(i); }))
+          << "client " << i;
+    }
+  }
+
+  // While accept is paused the late clients stay unaccepted: the queue
+  // stops at its capacity and fewer connections are open than clients.
+  double max_depth = 0;
+  double max_open = 0;
+  const auto start = std::chrono::steady_clock::now();
+  while (seconds_since(start) < 0.3) {
+    max_depth = std::max(max_depth, gauge("queue_depth"));
+    max_open = std::max(max_open, gauge("open_conns"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(max_depth, static_cast<double>(kCap));
+  EXPECT_LT(max_open, static_cast<double>(kClients));
+
+  // End the hold: closing the listener resets the held fetch, and every
+  // later fetch is refused at once. The drained queue resumes accepting,
+  // and every client gets its answer.
+  blackhole.reset();
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const auto raw = clients[i].read_to_end();
+    ASSERT_TRUE(raw.has_value()) << "client " << i;
+    const auto resp = parse_response(*raw);
+    ASSERT_TRUE(resp.has_value()) << "client " << i;
+    EXPECT_EQ(resp->status, 502) << "client " << i;
+  }
+  EXPECT_EQ(counter(proxy, "origin_failures"), kClients);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the reactor core: the timer wheel's ordering and cancellation,
+// Tests for the reactor core: the timer queue's ordering and cancellation,
 // the loop's cross-thread post/wakeup contract, the HttpLoop connection
 // state machine (keep-alive, pipelining, 400-on-junk) driven over real
 // loopback sockets, accept backoff when the process runs out of fds, and
@@ -33,7 +33,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 TEST(TimerWheelTest, FiresInDueOrder) {
-  TimerWheel wheel(/*tick_seconds=*/0.001, /*slots=*/16);
+  TimerQueue wheel;
   const auto now = Clock::now();
   std::vector<int> fired;
   wheel.add(now, 0.030, [&] { fired.push_back(3); });
@@ -49,7 +49,7 @@ TEST(TimerWheelTest, FiresInDueOrder) {
 }
 
 TEST(TimerWheelTest, CancelPreventsFiring) {
-  TimerWheel wheel(0.001, 16);
+  TimerQueue wheel;
   const auto now = Clock::now();
   bool fired = false;
   const std::uint64_t id = wheel.add(now, 0.005, [&] { fired = true; });
@@ -60,7 +60,7 @@ TEST(TimerWheelTest, CancelPreventsFiring) {
 }
 
 TEST(TimerWheelTest, NextDelayReflectsEarliestTimer) {
-  TimerWheel wheel(0.001, 16);
+  TimerQueue wheel;
   const auto now = Clock::now();
   EXPECT_EQ(wheel.next_delay_ms(now), -1);
   wheel.add(now, 0.100, [] {});
@@ -72,9 +72,8 @@ TEST(TimerWheelTest, NextDelayReflectsEarliestTimer) {
 }
 
 TEST(TimerWheelTest, LongGapStillFiresEverything) {
-  // More elapsed ticks than the wheel has slots: one advance must still
-  // fire every due entry exactly once.
-  TimerWheel wheel(0.001, /*slots=*/8);
+  // One advance long after every deadline must fire each entry exactly once.
+  TimerQueue wheel;
   const auto now = Clock::now();
   int fired = 0;
   for (int i = 1; i <= 20; ++i) {
@@ -86,7 +85,7 @@ TEST(TimerWheelTest, LongGapStillFiresEverything) {
 }
 
 TEST(TimerWheelTest, CallbackMayRescheduleItself) {
-  TimerWheel wheel(0.001, 16);
+  TimerQueue wheel;
   const auto t0 = Clock::now();
   int fires = 0;
   std::function<void()> again = [&] {
