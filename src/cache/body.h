@@ -1,28 +1,19 @@
 // bh::cache::Body — the one body representation every layer moves.
 //
-// An immutable, cheaply-copyable handle to an object body. Exactly one of
-// two shapes:
-//
-//   RAM buffer   — a refcounted shared_ptr<const std::string>. Copying the
-//                  Body copies a pointer; the bytes are shared between the
-//                  cache shard, any in-flight responses, and any push in
-//                  progress. The buffer is freed when the last holder drops.
-//   disk extent  — {fd, offset, len} with refcounted fd ownership (FdRef).
-//                  The bytes never enter userspace on the serve path: the
-//                  write loop hands the extent to sendfile(2). POSIX keeps
-//                  the inode alive while the fd is open, so an extent
-//                  survives the file being evicted/unlinked mid-transfer.
+// An immutable, cheaply-copyable handle to an object body: a refcounted
+// shared_ptr<const std::string>. Copying the Body copies a pointer; the
+// bytes are shared between the cache shard, any in-flight responses, and
+// any push in progress. The buffer is freed when the last holder drops.
+// Disk hits arrive here too, as the buffer DiskStore::get_body read and
+// checksummed, so every body a daemon serves is bytes it has verified.
 //
 // Ownership rules:
 //   - A Body is immutable after construction. There is no mutable access to
 //     the bytes; "modifying" an object means storing a new Body.
 //   - Copies are O(1) and never duplicate the payload. to_string() is the
-//     only operation that materializes bytes (pread for extents) — the
-//     explicit copy for callers that need an owned string (promotion,
-//     pushes, fallback sends).
+//     explicit copy for callers that need an owned string (pushes).
 //   - Holding a Body is sufficient to keep its bytes readable: the shared
-//     buffer cannot be freed, the extent's fd cannot be closed, under any
-//     concurrent cache eviction or disk-file unlink.
+//     buffer cannot be freed under any concurrent cache eviction.
 #pragma once
 
 #include <cstdint>
@@ -32,94 +23,53 @@
 
 namespace bh::cache {
 
-// Shared ownership of an open file descriptor; closes on last release.
-class FdRef {
- public:
-  explicit FdRef(int fd) noexcept : fd_(fd) {}
-  ~FdRef();
-  FdRef(const FdRef&) = delete;
-  FdRef& operator=(const FdRef&) = delete;
-
-  int fd() const noexcept { return fd_; }
-
- private:
-  int fd_;
-};
-
 // The refcounted in-RAM buffer type shared between the cache and the I/O
 // path. Exposed because ShardedLruCache stores and returns it directly.
 using BodyPtr = std::shared_ptr<const std::string>;
 
 class Body {
  public:
-  Body() noexcept = default;  // empty RAM body
+  Body() noexcept = default;  // empty body
   // Implicit from owned strings: `resp.body = "ok"` and the dozens of
   // string-producing call sites keep working, paying one buffer allocation.
-  Body(std::string s) : ram_(std::make_shared<const std::string>(std::move(s))) {}
+  Body(std::string s)
+      : ram_(std::make_shared<const std::string>(std::move(s))) {}
   Body(const char* s) : Body(std::string(s)) {}
   // Zero-copy adoption of an already-shared buffer (cache hits).
   explicit Body(BodyPtr buf) noexcept : ram_(std::move(buf)) {}
 
-  // A disk-resident extent: `len` bytes at `offset` in `fd`'s file.
-  static Body extent(std::shared_ptr<const FdRef> fd, std::uint64_t offset,
-                     std::uint64_t len) noexcept {
-    Body b;
-    b.fd_ = std::move(fd);
-    b.off_ = offset;
-    b.len_ = len;
-    return b;
-  }
-
-  bool is_extent() const noexcept { return fd_ != nullptr; }
-  std::uint64_t size() const noexcept { return ram_ ? ram_->size() : len_; }
+  std::uint64_t size() const noexcept { return ram_ ? ram_->size() : 0; }
   bool empty() const noexcept { return size() == 0; }
 
-  // --- RAM accessors (extent bodies return empty/null) ---
   const BodyPtr& shared() const noexcept { return ram_; }
-  const std::string& str() const noexcept;
+  const std::string& str() const noexcept {
+    static const std::string kEmpty;
+    return ram_ ? *ram_ : kEmpty;
+  }
   std::string_view view() const noexcept {
     return ram_ ? std::string_view(*ram_) : std::string_view();
   }
 
-  // --- extent accessors (RAM bodies return -1/0) ---
-  int fd() const noexcept { return fd_ ? fd_->fd() : -1; }
-  std::uint64_t offset() const noexcept { return off_; }
-  const std::shared_ptr<const FdRef>& fd_ref() const noexcept { return fd_; }
+  void append_to(std::string& out) const { out.append(view()); }
+  std::string to_string() const { return std::string(view()); }
 
-  // Materializes the bytes regardless of representation: the RAM buffer is
-  // copied, an extent is pread in full. Returns false (leaving `out` in an
-  // unspecified state) if the extent's file cannot be read back.
-  bool append_to(std::string& out) const;
-  std::string to_string() const {
-    std::string out;
-    append_to(out);
-    return out;
-  }
-
-  // Value comparison (materializes extents — test/assert convenience, not a
-  // hot path). Exact-match overloads for string and C-string keep
+  // Value comparison. Exact-match overloads for string and C-string keep
   // EXPECT_EQ(resp.body, "...") unambiguous next to the implicit ctors.
   friend bool operator==(const Body& a, const Body& b) {
-    if (a.ram_ && b.ram_ && a.ram_ == b.ram_) return true;
-    if (a.size() != b.size()) return false;
-    return a.to_string() == b.to_string();
+    return a.ram_ == b.ram_ || a.view() == b.view();
   }
   friend bool operator==(const Body& a, const std::string& s) {
-    return a.ram_ ? *a.ram_ == s : a.size() == s.size() && a.to_string() == s;
+    return a.view() == s;
   }
   friend bool operator==(const Body& a, const char* s) {
-    return a == std::string_view(s);
+    return a.view() == std::string_view(s);
   }
   friend bool operator==(const Body& a, std::string_view s) {
-    return a.ram_ ? std::string_view(*a.ram_) == s
-                  : a.size() == s.size() && a.to_string() == s;
+    return a.view() == s;
   }
 
  private:
   BodyPtr ram_;
-  std::shared_ptr<const FdRef> fd_;
-  std::uint64_t off_ = 0;
-  std::uint64_t len_ = 0;
 };
 
 }  // namespace bh::cache

@@ -59,6 +59,22 @@ bool parse_hex16(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
+// Reads exactly `len` bytes at `off`; false on a short file or read error.
+bool pread_full(int fd, void* buf, std::size_t len, std::uint64_t off) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pread(fd, static_cast<char*>(buf) + done, len - done,
+                              static_cast<off_t>(off + done));
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+  return true;
+}
+
 bool ensure_dir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) == 0) return true;
   return errno == EEXIST;
@@ -135,7 +151,7 @@ void DiskStore::scan_tree() {
       if (!parse_hex16(std::string_view(fname).substr(0, 16), &key)) continue;
       struct stat st{};
       if (::stat(fpath.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
-      // Adopt by name and size; content validation is lazy (on first get),
+      // Adopt by name and size; content is validated on every get_body,
       // so a restart over a large tier stays cheap. Recency restarts cold.
       index_[ObjectId{key}] =
           IndexEntry{static_cast<std::uint64_t>(st.st_size), 0};
@@ -144,56 +160,6 @@ void DiskStore::scan_tree() {
     ::closedir(dir);
   }
   ::closedir(root);
-}
-
-std::optional<std::string> DiskStore::get(ObjectId id) {
-  const std::string path = path_of(id);
-  {
-    std::lock_guard lock(mu_);
-    auto it = index_.find(id);
-    if (it == index_.end()) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
-    it->second.last_access = ++tick_;
-  }
-
-  // Payload I/O outside the lock: a concurrent erase/replace is benign —
-  // an already-opened file reads its old complete contents, a vanished one
-  // reads as a miss.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    std::lock_guard lock(mu_);
-    drop_locked(id, /*unlink_file=*/false);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ObjHeader h;
-  std::string body;
-  bool ok = std::fread(&h, sizeof h, 1, f) == 1 && h.magic == kObjMagic &&
-            h.layout == kLayoutVersion && h.key == id.value;
-  if (ok) {
-    body.resize(static_cast<std::size_t>(h.body_len));
-    ok = h.body_len == 0 ||
-         std::fread(body.data(), 1, body.size(), f) == body.size();
-    // The envelope must end exactly at the body: trailing bytes mean a
-    // foreign or damaged file.
-    if (ok) ok = std::fgetc(f) == EOF;
-    if (ok) ok = fnv1a64(body) == h.checksum;
-  }
-  std::fclose(f);
-
-  std::lock_guard lock(mu_);
-  if (!ok) {
-    // Corruption (torn write is impossible by construction, so this is
-    // bit rot or tampering): drop the file, report a miss.
-    drop_locked(id, /*unlink_file=*/true);
-    ++stats_.corrupt_dropped;
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  return body;
 }
 
 std::optional<Body> DiskStore::get_body(ObjectId id) {
@@ -208,6 +174,9 @@ std::optional<Body> DiskStore::get_body(ObjectId id) {
     it->second.last_access = ++tick_;
   }
 
+  // Payload I/O outside the lock: a concurrent erase/replace is benign —
+  // an already-opened file reads its old complete contents, a vanished one
+  // reads as a miss.
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     std::lock_guard lock(mu_);
@@ -215,52 +184,36 @@ std::optional<Body> DiskStore::get_body(ObjectId id) {
     ++stats_.misses;
     return std::nullopt;
   }
-  // Structural validation only: the header must name this object and the
-  // file must end exactly where the header says the body does. No checksum
-  // — that would read the body through userspace, which is exactly what an
-  // extent serve exists to avoid.
+  // The header must name this object, and the file must end exactly at the
+  // body: trailing or missing bytes mean a foreign or damaged file. The size
+  // check comes before the body is allocated, so a damaged length field can
+  // never ask for more memory than the file holds.
   ObjHeader h;
   struct stat st{};
-  std::size_t got = 0;
-  while (got < sizeof h) {
-    const ssize_t n = ::pread(fd, reinterpret_cast<char*>(&h) + got,
-                              sizeof h - got, static_cast<off_t>(got));
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;
+  std::string body;
+  bool ok = pread_full(fd, &h, sizeof h, 0) && h.magic == kObjMagic &&
+            h.layout == kLayoutVersion && h.key == id.value &&
+            ::fstat(fd, &st) == 0 &&
+            static_cast<std::uint64_t>(st.st_size) >= sizeof h &&
+            static_cast<std::uint64_t>(st.st_size) - sizeof h == h.body_len;
+  if (ok) {
+    body.resize(static_cast<std::size_t>(h.body_len));
+    ok = pread_full(fd, body.data(), body.size(), sizeof h) &&
+         fnv1a64(body) == h.checksum;
   }
-  const bool ok = got == sizeof h && h.magic == kObjMagic &&
-                  h.layout == kLayoutVersion && h.key == id.value &&
-                  ::fstat(fd, &st) == 0 &&
-                  static_cast<std::uint64_t>(st.st_size) ==
-                      sizeof h + h.body_len;
+  ::close(fd);
+
+  std::lock_guard lock(mu_);
   if (!ok) {
-    ::close(fd);
-    std::lock_guard lock(mu_);
+    // Corruption (torn write is impossible by construction, so this is
+    // bit rot or tampering): drop the file, report a miss.
     drop_locked(id, /*unlink_file=*/true);
     ++stats_.corrupt_dropped;
     ++stats_.misses;
     return std::nullopt;
   }
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.hits;
-  }
-  // The FdRef owns the fd from here; the extent stays readable even if the
-  // file is evicted and unlinked while the response is in flight.
-  return Body::extent(std::make_shared<const FdRef>(fd), sizeof h, h.body_len);
-}
-
-std::optional<std::uint64_t> DiskStore::body_bytes(ObjectId id) const {
-  std::lock_guard lock(mu_);
-  const auto it = index_.find(id);
-  if (it == index_.end()) return std::nullopt;
-  // A file shorter than the envelope header is damaged; reading it drops it.
-  const std::uint64_t file_bytes = it->second.file_bytes;
-  return file_bytes > sizeof(ObjHeader) ? file_bytes - sizeof(ObjHeader) : 0;
+  ++stats_.hits;
+  return Body(std::move(body));
 }
 
 bool DiskStore::put(ObjectId id, std::string_view body, Version version,

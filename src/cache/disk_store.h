@@ -99,25 +99,11 @@ class DiskStore {
   // names an incompatible layout version.
   explicit DiskStore(Options opts, EvictFn on_evict = {});
 
-  // Reads and validates the object. A hit refreshes recency; a file that
-  // fails validation is dropped and reported as a miss.
-  std::optional<std::string> get(ObjectId id);
-
-  // Zero-copy read: opens the object file and returns an extent Body
-  // {fd, offset, len} pointing past the envelope header, so the serve path
-  // can sendfile(2) the bytes without them ever entering userspace. The fd
-  // is refcounted by the Body — a concurrent eviction/unlink cannot revoke
-  // bytes already in flight (the open fd pins the inode).
-  //
-  // Validation is structural only (magic/layout/key/exact file size); the
-  // checksum would force a full userspace read, defeating the point. The
-  // checksummed get() remains the promotion path's read.
+  // The store's one read: validates the envelope (magic, layout, key, exact
+  // file length) and the body's checksum, and returns the verified bytes as
+  // a RAM Body. A hit refreshes recency; a file that fails validation is
+  // dropped (unlinked, counted in corrupt_dropped) and reported as a miss.
   std::optional<Body> get_body(ObjectId id);
-
-  // Body length of an indexed object, from the index alone (no file I/O, no
-  // recency touch); nullopt when absent. Lets a reader choose between get()
-  // and get_body() before opening the file.
-  std::optional<std::uint64_t> body_bytes(ObjectId id) const;
 
   // Writes (or replaces) the object crash-atomically, then evicts
   // least-recently-accessed entries as needed to fit the budget. Returns

@@ -239,7 +239,7 @@ bool HttpParser::on_head_complete(std::string_view head) {
       kind_ == Kind::kRequest ? request_.headers : response_.headers;
   if (auto cl = find_header(hs, "Content-Length")) {
     const auto parsed = parse_u64(*cl);
-    if (!parsed || *parsed > limits_.max_body_bytes) return false;
+    if (!parsed || *parsed > limits_.max_content_length) return false;
     body_expected_ = static_cast<std::size_t>(*parsed);
   }
   return true;

@@ -55,10 +55,10 @@ struct HttpResponse {
   int status = 200;
   std::string reason = "OK";
   Headers headers;
-  // Response bodies travel as cache::Body so a RAM cache hit shares the
-  // cached buffer all the way to the socket write, and a disk hit carries a
-  // {fd, offset, len} extent that sendfile(2) transmits without a userspace
-  // copy. Assigning a string still works (one buffer allocation).
+  // Response bodies travel as cache::Body so a cache hit shares the cached
+  // buffer all the way to the socket write, and a disk hit carries the
+  // buffer its checksum was verified over. Assigning a string still works
+  // (one buffer allocation).
   cache::Body body;
 
   std::optional<std::string_view> header(std::string_view name) const;
@@ -98,7 +98,7 @@ class HttpParser {
     // Start line + header block, including the blank line.
     std::size_t max_head_bytes = 1 << 20;
     // Content-Length ceiling; larger messages are rejected up front.
-    std::size_t max_body_bytes = 64u << 20;
+    std::size_t max_content_length = 64u << 20;
   };
 
   explicit HttpParser(Kind kind) : kind_(kind) {}

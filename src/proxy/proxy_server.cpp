@@ -309,9 +309,9 @@ obs::MetricsSnapshot ProxyServer::metrics_snapshot() const {
   // Always 0 (epoll makes no submission calls); exported because perfbench's
   // traced proxy.submit_calls_per_req requires the counter to exist.
   registry_.counter("bh.proxy.submit_calls").set(0);
-  // Zero-copy sends: extent bodies via sendfile(2).
-  registry_.counter("bh.proxy.zerocopy_sends").set(http_loop_->zerocopy_sends());
-  registry_.counter("bh.proxy.bytes_zerocopy").set(http_loop_->zerocopy_bytes());
+  // Always 0 (every body is sent from a RAM buffer); exported because
+  // perfbench's traced proxy.zerocopy_byte_ratio requires the counter.
+  registry_.counter("bh.proxy.bytes_zerocopy").set(0);
   return registry_.snapshot();
 }
 
@@ -495,29 +495,22 @@ HttpResponse ProxyServer::handle_ram_miss(const HttpRequest& req,
   // invalidate(id) that runs meanwhile is refused when it tries to store.
   const FillTicket ticket = fill_ticket();
 
-  // 1b. Disk tier: a RAM miss can still be a node hit. A RAM-sized body is
-  // read through the checksummed get(), promoted back into RAM without
-  // re-advertising (the node never stopped holding the object, so peers
-  // learned nothing new), and served from that buffer; a body that fails
-  // its checksum is dropped and the request falls through as a miss. A
-  // larger body stays disk-resident — re-putting it would only rewrite the
-  // same file — and the response carries the file extent itself, which the
-  // reactor ships with sendfile(2) so the bytes never cross userspace. Peer
-  // probes see a plain HIT, clients see which tier answered.
+  // 1b. Disk tier: a RAM miss can still be a node hit. The body is read
+  // through the store's checksummed get_body; one that fails its checksum
+  // is dropped and the request falls through as a miss, so a corrupt file
+  // is never served to a client or a peer. A RAM-sized body is promoted
+  // back into RAM without re-advertising (the node never stopped holding
+  // the object, so peers learned nothing new). A larger body is served from
+  // the verified buffer and not re-put: that would only rewrite the same
+  // file. Peer probes see a plain HIT, clients see which tier answered.
   if (disk_) {
     const auto t0 = std::chrono::steady_clock::now();
-    std::optional<cache::Body> body;
-    if (const auto size = disk_->body_bytes(*id)) {
-      if (*size > cache_.max_object_bytes()) {
-        body = disk_->get_body(*id);
-      } else if (auto bytes = disk_->get(*id)) {
-        auto shared = std::make_shared<const std::string>(std::move(*bytes));
-        store_internal(*id, shared, /*replace_existing=*/true,
-                       /*pushed=*/false, /*advertise=*/false, ticket);
-        c_.disk_promotions.inc();
-        promote_ms_.record(ms_since(t0));
-        body = cache::Body(std::move(shared));
-      }
+    std::optional<cache::Body> body = disk_->get_body(*id);
+    if (body && body->size() <= cache_.max_object_bytes()) {
+      store_internal(*id, body->shared(), /*replace_existing=*/true,
+                     /*pushed=*/false, /*advertise=*/false, ticket);
+      c_.disk_promotions.inc();
+      promote_ms_.record(ms_since(t0));
     }
     if (body) {
       c_.disk_hits.inc();
@@ -874,8 +867,8 @@ void ProxyServer::push_to_peers(ObjectId id, const cache::Body& body,
   }
   if (targets.empty()) return;
 
-  // Request bodies are plain strings: materialize the pushed object once,
-  // outside the per-target loop (extents pay their one pread here).
+  // Request bodies are plain strings: copy the pushed object once, outside
+  // the per-target loop.
   const std::string bytes = body.to_string();
   const std::string policy_name = push_policy_->name();
   for (std::size_t t = 0; t < targets.size(); ++t) {

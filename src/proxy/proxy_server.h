@@ -133,6 +133,8 @@ struct ProxyConfig {
   // tier entirely (RAM-only, the pre-persistence behaviour). When set, RAM
   // evictions demote their bodies here and disk hits promote them back; a
   // restarted daemon rescans the directory and serves the surviving objects.
+  // Every disk hit is read through its checksum before it is served, so a
+  // corrupt file is a miss for clients and peers alike.
   std::string disk_path;
   std::uint64_t disk_capacity_bytes = 256ULL << 20;
   // fsync demoted objects and saved images before rename. Surviving SIGKILL

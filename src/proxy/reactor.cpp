@@ -3,8 +3,6 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <signal.h>
-#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,7 +30,8 @@ constexpr std::size_t kMaxPipeline = 16;
 // A client shoving pipelined data faster than we respond is bounded by the
 // largest legal message; beyond that it is abuse.
 constexpr std::size_t kMaxBufferedBytes =
-    HttpParser::Limits{}.max_head_bytes + HttpParser::Limits{}.max_body_bytes;
+    HttpParser::Limits{}.max_head_bytes +
+    HttpParser::Limits{}.max_content_length;
 
 }  // namespace
 
@@ -88,17 +87,6 @@ int TimerQueue::next_delay_ms(Clock::time_point now) const {
 
 // ---------------------------------------------------------------------------
 // Reactor
-
-Reactor::Reactor() {
-  // The socket writes all carry MSG_NOSIGNAL, but sendfile(2) on the
-  // zero-copy extent path has no such flag: a peer that dies mid-transfer
-  // must surface as EPIPE on the call, not kill the process.
-  static const bool sigpipe_ignored = [] {
-    ::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)sigpipe_ignored;
-}
 
 void Reactor::post(std::function<void()> fn) {
   {
@@ -390,27 +378,9 @@ bool HttpLoop::continue_write(std::uint64_t token) {
       }
       return true;
     }
-    // Disk extent with its head already out: ship the bytes with
-    // sendfile(2) — file to socket, never through userspace.
-    if (c->out.front().body.is_extent() &&
-        c->front_off >= c->out.front().head.size()) {
-      bool blocked = false;
-      if (!sendfile_front(token, c, &blocked)) return false;
-      if (blocked) {
-        if (!c->writing) {
-          c->writing = true;
-          reactor_.io().request_writable(c->reg_id);
-        }
-        return true;
-      }
-      continue;  // front advanced or fell back to RAM: reevaluate
-    }
     // One gathered write covering as many queued responses as fit: head +
     // body pairs from the front of the queue, the first adjusted by
     // front_off. Bodies are never copied into a contiguous reply buffer.
-    // Gathering stops at an extent body: its head may join this batch, but
-    // the body itself goes out via sendfile when it reaches the front — and
-    // nothing may be sent past skipped bytes.
     iovec iov[kMaxWriteIov];
     std::size_t iovcnt = 0;
     std::size_t off = c->front_off;
@@ -421,7 +391,6 @@ bool HttpLoop::continue_write(std::uint64_t token) {
         iov[iovcnt].iov_base = const_cast<char*>(pw.head.data() + off);
         iov[iovcnt].iov_len = head_len - off;
         ++iovcnt;
-        if (pw.body.is_extent()) break;
         if (iovcnt < kMaxWriteIov && !pw.body.empty()) {
           const std::string_view body = pw.body.view();
           iov[iovcnt].iov_base = const_cast<char*>(body.data());
@@ -429,8 +398,8 @@ bool HttpLoop::continue_write(std::uint64_t token) {
           ++iovcnt;
         }
       } else {
-        // Mid-body resume. An extent front never reaches here (handled
-        // above); a partially-sent RAM body finishes by ordinary copy.
+        // Mid-body resume: the front's head is out, the rest of its body
+        // follows.
         const std::size_t boff = off - head_len;
         const std::string_view body = pw.body.view();
         iov[iovcnt].iov_base = const_cast<char*>(body.data() + boff);
@@ -478,59 +447,6 @@ bool HttpLoop::continue_write(std::uint64_t token) {
     close_conn(token);
     return false;
   }
-}
-
-bool HttpLoop::sendfile_front(std::uint64_t token, Conn* c, bool* blocked) {
-  *blocked = false;
-  PendingWrite& front = c->out.front();
-  const std::size_t head_len = front.head.size();
-  const std::uint64_t body_len = front.body.size();
-  for (;;) {
-    const std::uint64_t boff = c->front_off - head_len;
-    const std::uint64_t rem = body_len - boff;
-    if (rem == 0) break;
-    // sendfile advances its own offset cursor; front_off mirrors it so a
-    // partial send resumes exactly where the socket stalled.
-    off_t file_off = static_cast<off_t>(front.body.offset() + boff);
-    const ssize_t n = ::sendfile(c->fd, front.body.fd(), &file_off,
-                                 static_cast<size_t>(rem));
-    if (n > 0) {
-      c->front_off += static_cast<std::size_t>(n);
-      c->last_activity = Clock::now();
-      zerocopy_bytes_.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      *blocked = true;
-      return true;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EINVAL || errno == ENOSYS)) {
-      // Kernel/filesystem cannot sendfile this pairing: materialize the
-      // body and let the ordinary copy path finish the transfer.
-      std::string bytes;
-      if (!front.body.append_to(bytes)) {
-        close_conn(token);
-        return false;
-      }
-      front.body = cache::Body(std::move(bytes));
-      return true;
-    }
-    // Peer reset, I/O error, or the file shrank under the envelope (n == 0
-    // before the extent was exhausted): the response can't complete.
-    close_conn(token);
-    return false;
-  }
-  zerocopy_sends_.fetch_add(1, std::memory_order_relaxed);
-  const bool close_now = front.close_after;
-  c->out.pop_front();
-  c->front_off = 0;
-  if (close_now) {
-    close_conn(token);
-    return false;
-  }
-  return true;
 }
 
 void HttpLoop::close_conn(std::uint64_t token) {

@@ -27,9 +27,7 @@
 // (inline) or a worker (from any thread) calls respond(token, response) ->
 // responses are sequenced back into request order on the loop thread,
 // coalesced into one gathered sendmsg covering as many queued responses as
-// fit (inline responses to one parsed batch share a single flush). A disk
-// extent body ends a gather: it goes out by sendfile(2) when it reaches the
-// front of the queue.
+// fit (inline responses to one parsed batch share a single flush).
 //
 // Keep-alive: HTTP/1.0 semantics — close by default, held open when the
 // request carries "Connection: keep-alive" (the response echoes the
@@ -99,7 +97,7 @@ class TimerQueue {
 class Reactor {
  public:
   // Throws std::runtime_error if the epoll engine cannot be constructed.
-  Reactor();
+  Reactor() = default;
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
@@ -174,21 +172,10 @@ class HttpLoop {
     return open_conns_.load(std::memory_order_relaxed);
   }
 
-  // Zero-copy transmission counters (`bh.proxy.zerocopy_sends` /
-  // `bh.proxy.bytes_zerocopy`): extent bodies that left via sendfile(2),
-  // i.e. without a userspace copy into the socket.
-  std::uint64_t zerocopy_sends() const {
-    return zerocopy_sends_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t zerocopy_bytes() const {
-    return zerocopy_bytes_.load(std::memory_order_relaxed);
-  }
-
  private:
   // One response waiting to be written: serialized head + the body handle.
-  // A RAM body rides as the cache's shared buffer (no copy was made to get
-  // here); an extent body is {fd, offset, len} that sendfile ships straight
-  // from the page cache.
+  // The body rides as the cache's shared buffer (no copy was made to get
+  // here).
   struct PendingWrite {
     std::string head;
     cache::Body body;
@@ -252,10 +239,6 @@ class HttpLoop {
   void place_response(std::uint64_t conn_token, std::uint64_t seq,
                       PendingWrite pw);
   bool continue_write(std::uint64_t token);  // false once the conn is gone
-  // Transmits the front entry's extent body via sendfile(2). Returns the
-  // continue_write outcome contract: advanced/EAGAIN → true, conn gone →
-  // false; sets *blocked when the socket is full.
-  bool sendfile_front(std::uint64_t token, Conn* c, bool* blocked);
   void close_conn(std::uint64_t token);
   void sweep_idle();
   void schedule_sweep();
@@ -273,8 +256,6 @@ class HttpLoop {
   std::uint64_t next_token_ = 1;      // connection tokens
   std::uint64_t next_req_token_ = 1;  // request tokens (dispatch/respond)
   std::atomic<std::size_t> open_conns_{0};
-  std::atomic<std::uint64_t> zerocopy_sends_{0};
-  std::atomic<std::uint64_t> zerocopy_bytes_{0};
   bool shut_down_ = false;
 };
 

@@ -48,16 +48,16 @@ DiskStore::Options opts_for(const std::string& root,
 
 TEST(DiskStoreTest, PutGetRoundTripAndStats) {
   DiskStore store(opts_for(fresh_root("roundtrip")));
-  EXPECT_FALSE(store.get(ObjectId{1}).has_value());
+  EXPECT_FALSE(store.get_body(ObjectId{1}).has_value());
   ASSERT_TRUE(store.put(ObjectId{1}, body_of(1, 500)));
   ASSERT_TRUE(store.put(ObjectId{2}, body_of(2, 0)));  // empty body is legal
   EXPECT_TRUE(store.contains(ObjectId{1}));
   EXPECT_EQ(store.object_count(), 2u);
 
-  const auto b1 = store.get(ObjectId{1});
+  const auto b1 = store.get_body(ObjectId{1});
   ASSERT_TRUE(b1.has_value());
   EXPECT_EQ(*b1, body_of(1, 500));
-  const auto b2 = store.get(ObjectId{2});
+  const auto b2 = store.get_body(ObjectId{2});
   ASSERT_TRUE(b2.has_value());
   EXPECT_TRUE(b2->empty());
 
@@ -69,7 +69,7 @@ TEST(DiskStoreTest, PutGetRoundTripAndStats) {
 
   EXPECT_TRUE(store.erase(ObjectId{1}));
   EXPECT_FALSE(store.erase(ObjectId{1}));
-  EXPECT_FALSE(store.get(ObjectId{1}).has_value());
+  EXPECT_FALSE(store.get_body(ObjectId{1}).has_value());
 }
 
 TEST(DiskStoreTest, SurvivesReopenWithSameContents) {
@@ -83,7 +83,7 @@ TEST(DiskStoreTest, SurvivesReopenWithSameContents) {
   DiskStore back(opts_for(root));
   EXPECT_EQ(back.object_count(), 40u);
   for (std::uint64_t k = 1; k <= 40; ++k) {
-    const auto body = back.get(ObjectId{k});
+    const auto body = back.get_body(ObjectId{k});
     ASSERT_TRUE(body.has_value()) << k;
     EXPECT_EQ(*body, body_of(k, 100 + k));
   }
@@ -105,7 +105,7 @@ TEST(DiskStoreTest, CorruptFileIsDroppedAsMiss) {
     f.seekp(40 + 150);  // past the envelope header, mid-body
     f.put('X');
   }
-  EXPECT_FALSE(store.get(ObjectId{7}).has_value());
+  EXPECT_FALSE(store.get_body(ObjectId{7}).has_value());
   EXPECT_EQ(store.stats().corrupt_dropped, 1u);
   EXPECT_FALSE(store.contains(ObjectId{7}));
   EXPECT_EQ(::access(path.c_str(), F_OK), -1) << "file not unlinked";
@@ -129,9 +129,10 @@ TEST(DiskStoreTest, RenamedFileCannotImpersonateAnotherObject) {
   }
   DiskStore back(opts_for(root));
   EXPECT_EQ(back.object_count(), 2u);  // adopted by name...
-  EXPECT_FALSE(back.get(ObjectId{0x22}).has_value());  // ...rejected by key
+  // ...rejected by key
+  EXPECT_FALSE(back.get_body(ObjectId{0x22}).has_value());
   EXPECT_EQ(back.stats().corrupt_dropped, 1u);
-  EXPECT_TRUE(back.get(ObjectId{0x11}).has_value());
+  EXPECT_TRUE(back.get_body(ObjectId{0x11}).has_value());
 }
 
 TEST(DiskStoreTest, EvictsLeastRecentlyAccessedToFitBudget) {
@@ -143,7 +144,8 @@ TEST(DiskStoreTest, EvictsLeastRecentlyAccessedToFitBudget) {
     ASSERT_TRUE(store.put(ObjectId{k}, body_of(k, 200)));
   }
   EXPECT_TRUE(evicted.empty());
-  ASSERT_TRUE(store.get(ObjectId{1}).has_value());  // refresh 1: LRU is now 2
+  // Refresh 1: LRU is now 2.
+  ASSERT_TRUE(store.get_body(ObjectId{1}).has_value());
 
   ASSERT_TRUE(store.put(ObjectId{5}, body_of(5, 200)));
   ASSERT_EQ(evicted.size(), 1u);
@@ -171,14 +173,14 @@ TEST(DiskStoreTest, InterruptedWriteLeavesOldObjectAndSweepsTempOnReopen) {
     set_atomic_write_fault(nullptr);
     EXPECT_EQ(store.stats().io_errors, 1u);
     // The old complete object still serves.
-    const auto body = store.get(ObjectId{3});
+    const auto body = store.get_body(ObjectId{3});
     ASSERT_TRUE(body.has_value());
     EXPECT_EQ(*body, body_of(3, 100));
   }
   // Reopen: the crash debris is swept, the object survives.
   DiskStore back(opts_for(root));
   EXPECT_EQ(back.object_count(), 1u);
-  ASSERT_TRUE(back.get(ObjectId{3}).has_value());
+  ASSERT_TRUE(back.get_body(ObjectId{3}).has_value());
   char dir[3];
   std::snprintf(dir, sizeof dir, "%02x", 3u);
   const std::string cmd =
@@ -208,9 +210,9 @@ TEST(DiskStoreTest, ConcurrentPutsGetsStayCoherent) {
         const ObjectId id{rng.next_below(64) + 1};
         if (rng.bernoulli(0.5)) {
           store.put(id, body_of(id.value, 64 + rng.next_below(128)));
-        } else if (const auto body = store.get(id)) {
+        } else if (const auto body = store.get_body(id)) {
           // A served body is always complete and keyed correctly.
-          EXPECT_EQ((*body)[0], static_cast<char>('a' + id.value % 26));
+          EXPECT_EQ(body->view()[0], static_cast<char>('a' + id.value % 26));
         }
       }
     });
@@ -227,33 +229,15 @@ TEST(DiskStoreTest, ConcurrentPutsGetsStayCoherent) {
   EXPECT_EQ(rescan.used_bytes(), bytes);
 }
 
-TEST(DiskStoreTest, GetBodyReturnsExtentThatSurvivesEviction) {
-  DiskStore store(opts_for(fresh_root("extent")));
-  const std::string bytes = body_of(5, 3000);
-  ASSERT_TRUE(store.put(ObjectId{5}, bytes));
-
-  auto body = store.get_body(ObjectId{5});
-  ASSERT_TRUE(body.has_value());
-  EXPECT_TRUE(body->is_extent());
-  EXPECT_EQ(body->size(), bytes.size());
-  EXPECT_EQ(body->to_string(), bytes);
-
-  // Erase (unlink) while the extent is live: the fd pins the inode, so the
-  // handed-out body still reads whole.
-  ASSERT_TRUE(store.erase(ObjectId{5}));
-  EXPECT_FALSE(store.contains(ObjectId{5}));
-  EXPECT_EQ(body->to_string(), bytes);
-}
-
 TEST(DiskStoreTest, GetBodyDropsTruncatedFileAsMiss) {
-  const std::string root = fresh_root("extent_trunc");
+  const std::string root = fresh_root("trunc");
   DiskStore store(opts_for(root));
   ASSERT_TRUE(store.put(ObjectId{9}, body_of(9, 500)));
   auto probe = store.get_body(ObjectId{9});
   ASSERT_TRUE(probe.has_value());
 
-  // Truncate the store's one object file behind its back: the structural
-  // check (exact header+body size) must reject it, not serve short bytes.
+  // Truncate the store's one object file behind its back: the length check
+  // (exact header+body size) must reject it, not serve short bytes.
   [[maybe_unused]] int rc = std::system(
       ("find '" + root + "' -type f -exec truncate -s 100 {} +").c_str());
   auto body = store.get_body(ObjectId{9});
@@ -372,7 +356,7 @@ TEST(DiskStoreTest, AsyncEraseCancelsQueuedDemotion) {
   gate.release();
   store.drain_async();
   EXPECT_FALSE(store.contains(ObjectId{1}));
-  EXPECT_FALSE(store.get(ObjectId{1}).has_value());
+  EXPECT_FALSE(store.get_body(ObjectId{1}).has_value());
   EXPECT_EQ(outcome.load(), 0);
   EXPECT_TRUE(store.contains(ObjectId{99}));
 }
@@ -390,14 +374,14 @@ TEST(DiskStoreTest, AsyncEraseCancelsInFlightDemotion) {
   gate.release();
   store.drain_async();
   EXPECT_FALSE(store.contains(ObjectId{1}));
-  EXPECT_FALSE(store.get(ObjectId{1}).has_value());
+  EXPECT_FALSE(store.get_body(ObjectId{1}).has_value());
   EXPECT_EQ(outcome.load(), 0);
   EXPECT_NE(::access(object_file(root, 1).c_str(), F_OK), 0);  // no file left
   // A demotion that starts after the erase lands normally.
   ASSERT_TRUE(store.put_async(ObjectId{1},
                               std::make_shared<const std::string>("new")));
   store.drain_async();
-  EXPECT_EQ(store.get(ObjectId{1}).value_or(""), "new");
+  EXPECT_EQ(store.get_body(ObjectId{1}).value_or(""), "new");
 }
 
 TEST(DiskStoreTest, StopAsyncDrainsThenRestartsLazily) {

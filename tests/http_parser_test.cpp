@@ -154,7 +154,7 @@ TEST(HttpParserTest, OversizedHeaderRejectedEvenWithoutTerminator) {
 
 TEST(HttpParserTest, BodyLargerThanLimitRejectedUpFront) {
   HttpParser::Limits limits;
-  limits.max_body_bytes = 16;
+  limits.max_content_length = 16;
   HttpParser p(HttpParser::Kind::kRequest, limits);
   p.feed("POST /x HTTP/1.0\r\nContent-Length: 17\r\n\r\n");
   EXPECT_TRUE(p.failed());

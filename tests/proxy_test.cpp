@@ -404,46 +404,73 @@ TEST(ProxyDiskTierTest, DemotesEvictionsAndServesFromDisk) {
 }
 
 TEST(ProxyDiskTierTest, CorruptDiskBodyIsDroppedAndRefetched) {
-  // A demoted body with one flipped bit must fail the checksum on its way
-  // back to RAM: dropped and counted, then refetched from the origin —
-  // never served, never promoted.
-  OriginServer origin;
-  ProxyConfig cfg;
-  cfg.origin_port = origin.port();
-  cfg.capacity_bytes = 400;  // one 300-byte object at a time in RAM
-  cfg.disk_path = fresh_state_dir("corrupt");
-  cfg.disk_fsync = false;
-  ProxyServer proxy(cfg);
+  // An object file with one flipped bit must fail the checksum on the disk
+  // read: dropped and counted, then refetched from the origin — never
+  // served to a client or a peer, never promoted. Two inputs: a 300-byte
+  // body that RAM evicted to disk, and a 1000-byte body too large for RAM
+  // that was stored straight to disk.
+  for (const std::size_t size : {std::size_t{300}, std::size_t{1000}}) {
+    SCOPED_TRACE(size);
+    const bool large = size > 400;
+    OriginServer origin;
+    ProxyConfig cfg;
+    cfg.origin_port = origin.port();
+    cfg.capacity_bytes = 400;  // one 300-byte object at a time in RAM
+    cfg.disk_path = fresh_state_dir("corrupt" + std::to_string(size));
+    cfg.disk_fsync = false;
+    ProxyServer proxy(cfg);
 
-  const ObjectId first{33}, second{34};
-  EXPECT_EQ(fetch(proxy.port(), first, 300).cache, "MISS");
-  EXPECT_EQ(fetch(proxy.port(), second, 300).cache, "MISS");  // evicts `first`
-  proxy.disk()->drain_async();
-  ASSERT_TRUE(proxy.disk()->contains(first));
+    const ObjectId first{33}, second{34};
+    EXPECT_EQ(fetch(proxy.port(), first, size).cache, "MISS");
+    if (!large) {
+      // Evicts `first` to disk; the large body is already there.
+      EXPECT_EQ(fetch(proxy.port(), second, size).cache, "MISS");
+      proxy.disk()->drain_async();
+    }
+    ASSERT_TRUE(proxy.disk()->contains(first));
+    const std::uint64_t origin_before = origin.requests_served();
 
-  // The object file is <root>/<low byte>/<16-hex id>.obj; its last byte is
-  // the body's last byte.
-  char name[32];
-  std::snprintf(name, sizeof name, "/%02x/%016llx.obj",
-                static_cast<unsigned>(first.value & 0xff),
-                static_cast<unsigned long long>(first.value));
-  {
-    std::fstream f(cfg.disk_path + name,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(-1, std::ios::end);
-    char byte = 0;
-    ASSERT_TRUE(f.get(byte));
-    f.seekp(-1, std::ios::end);
-    f.put(static_cast<char>(byte ^ 0x01));
+    // The object file is <root>/<low byte>/<16-hex id>.obj; its last byte
+    // is the body's last byte.
+    char name[32];
+    std::snprintf(name, sizeof name, "/%02x/%016llx.obj",
+                  static_cast<unsigned>(first.value & 0xff),
+                  static_cast<unsigned long long>(first.value));
+    const auto flip_last_byte = [&] {
+      std::fstream f(cfg.disk_path + name,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open());
+      f.seekg(-1, std::ios::end);
+      char byte = 0;
+      ASSERT_TRUE(f.get(byte));
+      f.seekp(-1, std::ios::end);
+      f.put(static_cast<char>(byte ^ 0x01));
+    };
+    flip_last_byte();
+
+    const FetchResult back = fetch(proxy.port(), first, size);
+    EXPECT_EQ(back.status, 200);
+    EXPECT_EQ(back.cache, "MISS");
+    EXPECT_EQ(back.body, origin_body(first, 1, size));
+    EXPECT_EQ(counter(proxy, "disk.corrupt_dropped"), 1u);
+    EXPECT_EQ(origin.requests_served(), origin_before + 1);
+    if (!large) continue;
+
+    // The refetched large body went straight back to disk. Corrupt it
+    // again: a sibling's probe must get the false-positive reply, not the
+    // damaged bytes as a HIT it would store and serve on.
+    ASSERT_TRUE(proxy.disk()->contains(first));
+    flip_last_byte();
+    HttpRequest probe;
+    probe.method = "GET";
+    probe.target = object_path(first, size);
+    probe.headers.emplace_back("X-No-Forward", "1");
+    const auto resp = http_call(proxy.port(), probe);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, 404);
+    EXPECT_EQ(resp->reason, "Not Cached");
+    EXPECT_EQ(counter(proxy, "disk.corrupt_dropped"), 2u);
   }
-
-  const FetchResult back = fetch(proxy.port(), first, 300);
-  EXPECT_EQ(back.status, 200);
-  EXPECT_EQ(back.cache, "MISS");
-  EXPECT_EQ(back.body, origin_body(first, 1, 300));
-  EXPECT_EQ(counter(proxy, "disk.corrupt_dropped"), 1u);
-  EXPECT_EQ(origin.requests_served(), 3u);
 }
 
 TEST(ProxyDiskTierTest, DiskTierSurvivesRestart) {

@@ -1,13 +1,9 @@
 // Tests for the zero-copy body pipeline: shared-buffer identity through the
-// sharded cache (RAM hits never copy), extent bodies served via sendfile(2)
-// with partial-send resume, fd-refcount lifetime (an unlinked file still
-// serves while an extent is in flight), and peer-close robustness
-// mid-transfer, and the gather boundary an extent body puts into a
-// pipelined run of RAM bodies.
+// sharded cache (RAM hits never copy), and the gathered-write send path for
+// large shared bodies — partial-send resume against a slow reader,
+// peer-close robustness mid-transfer, and a pipelined run of small and
+// large bodies that must reach the wire whole and in order.
 #include <gtest/gtest.h>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -30,7 +26,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using cache::Body;
 using cache::BodyPtr;
-using cache::FdRef;
 
 std::string pattern_body(std::size_t n) {
   std::string s(n, '\0');
@@ -39,40 +34,6 @@ std::string pattern_body(std::size_t n) {
   }
   return s;
 }
-
-// Writes `bytes` to an unlinked-on-demand temp file and wraps the tail
-// `len` bytes at `offset` as an extent Body.
-struct ExtentFixture {
-  std::string path;
-  std::shared_ptr<const FdRef> fd;
-
-  static std::optional<ExtentFixture> create(const std::string& name,
-                                             const std::string& bytes) {
-    ExtentFixture fx;
-    // One file per test: ctest runs tests as parallel processes, and one
-    // must not truncate the file another is still sending.
-    const std::string test =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    fx.path = ::testing::TempDir() + "/bh_zc_" + name + "_" + test;
-    const int wfd =
-        ::open(fx.path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-    if (wfd < 0) return std::nullopt;
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(wfd, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) {
-        ::close(wfd);
-        return std::nullopt;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    ::close(wfd);
-    const int rfd = ::open(fx.path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (rfd < 0) return std::nullopt;
-    fx.fd = std::make_shared<const FdRef>(rfd);
-    return fx;
-  }
-};
 
 // Serves, on a real loop, the Body that `route` picks for each request
 // target — or one fixed Body for every request.
@@ -106,7 +67,6 @@ class BodyServer {
   }
 
   std::uint16_t port() const { return listener_->port(); }
-  HttpLoop& loop() { return *loop_; }
 
  private:
   std::optional<TcpListener> listener_;
@@ -167,62 +127,14 @@ TEST(BodyTest, ManyReadersShareOneBufferWhileEvictionsChurn) {
   EXPECT_GT(hits.load(), 0u);
 }
 
-TEST(BodyTest, ExtentAppendToReadsExactWindow) {
-  const std::string bytes = pattern_body(8192);
-  auto fx = ExtentFixture::create("window", bytes);
-  ASSERT_TRUE(fx.has_value());
-  const Body body = Body::extent(fx->fd, 100, 4000);
-  std::string out = "head:";
-  ASSERT_TRUE(body.append_to(out));
-  EXPECT_EQ(out, "head:" + bytes.substr(100, 4000));
-  EXPECT_EQ(body.size(), 4000u);
-  EXPECT_TRUE(body.is_extent());
-}
+// --- the serve path: resume, robustness, pipelined order ---
 
-TEST(BodyTest, FdRefClosesOnLastRelease) {
-  const std::string bytes = pattern_body(64);
-  auto fx = ExtentFixture::create("close", bytes);
-  ASSERT_TRUE(fx.has_value());
-  const int raw = fx->fd->fd();
-  Body a = Body::extent(fx->fd, 0, 64);
-  Body b = a;  // two bodies, one FdRef
-  fx->fd.reset();
-  a = Body();
-  EXPECT_GE(::fcntl(raw, F_GETFD), 0) << "fd closed while a body held it";
-  b = Body();
-  EXPECT_LT(::fcntl(raw, F_GETFD), 0) << "fd leaked after last release";
-}
-
-// --- the serve path: sendfile, resume, lifetime, robustness ---
-
-TEST(ZeroCopySendTest, ExtentBodyServedWholeViaSendfile) {
-  const std::string bytes = pattern_body(256 * 1024);
-  auto fx = ExtentFixture::create("serve", bytes);
-  ASSERT_TRUE(fx.has_value());
-  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
-
-  auto conn = ClientConnection::open(server.port(), 1.0);
-  ASSERT_TRUE(conn.has_value());
-  HttpRequest req;
-  req.method = "GET";
-  req.target = "/obj";
-  auto resp = conn->exchange(req, Clock::now() + std::chrono::seconds(5));
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->status, 200);
-  EXPECT_EQ(resp->body, bytes);
-  // The body left the daemon without crossing userspace.
-  EXPECT_GE(server.loop().zerocopy_sends(), 1u);
-  EXPECT_GE(server.loop().zerocopy_bytes(), bytes.size());
-}
-
-TEST(ZeroCopySendTest, PartialSendfileResumesAfterEagain) {
-  // A multi-megabyte extent against a client that drains slowly: the socket
-  // buffer fills, sendfile returns EAGAIN mid-body, and the loop must
-  // resume from the exact file offset when the peer catches up.
+TEST(ZeroCopySendTest, PartialSendResumesAfterEagain) {
+  // A multi-megabyte body against a client that drains slowly: the socket
+  // buffer fills, sendmsg returns EAGAIN mid-body, and the loop must resume
+  // from the exact body offset when the peer catches up.
   const std::string bytes = pattern_body(4 * 1024 * 1024);
-  auto fx = ExtentFixture::create("resume", bytes);
-  ASSERT_TRUE(fx.has_value());
-  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server{Body(std::string(bytes))};
 
   auto stream = TcpStream::connect(server.port(), 5.0);
   ASSERT_TRUE(stream.has_value());
@@ -251,31 +163,9 @@ TEST(ZeroCopySendTest, PartialSendfileResumesAfterEagain) {
   EXPECT_EQ(got.substr(hdr_end + 4), bytes);
 }
 
-TEST(ZeroCopySendTest, UnlinkedFileStillServesInFlightExtent) {
-  // POSIX: the open fd pins the inode. Unlinking the file after the
-  // response was queued must not corrupt or truncate the transfer.
-  const std::string bytes = pattern_body(512 * 1024);
-  auto fx = ExtentFixture::create("unlink", bytes);
-  ASSERT_TRUE(fx.has_value());
-  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
-  ASSERT_EQ(::unlink(fx->path.c_str()), 0);
-  fx->fd.reset();  // the Body inside the server holds the only reference
-
-  auto conn = ClientConnection::open(server.port(), 1.0);
-  ASSERT_TRUE(conn.has_value());
-  HttpRequest req;
-  req.method = "GET";
-  req.target = "/obj";
-  auto resp = conn->exchange(req, Clock::now() + std::chrono::seconds(10));
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->body, bytes);
-}
-
 TEST(ZeroCopySendTest, PeerCloseMidTransferIsCleanedUp) {
   const std::string bytes = pattern_body(4 * 1024 * 1024);
-  auto fx = ExtentFixture::create("abort", bytes);
-  ASSERT_TRUE(fx.has_value());
-  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server{Body(std::string(bytes))};
 
   {
     auto stream = TcpStream::connect(server.port(), 5.0);
@@ -312,11 +202,10 @@ TEST(ZeroCopySendTest, LargeSharedBufferServedIntact) {
     ASSERT_TRUE(resp.has_value()) << "exchange " << i;
     EXPECT_EQ(resp->body, bytes);
   }
-  EXPECT_EQ(server.loop().zerocopy_sends(), 0u);
 }
 
 TEST(ZeroCopySendTest, SmallBodiesStayOnTheGatherPath) {
-  // RAM bodies never leave by sendfile — and the zerocopy counters say so.
+  // A body far smaller than the socket buffer leaves in one gathered write.
   const std::string bytes = pattern_body(512);
   BodyServer server{Body(std::string(bytes))};
   auto conn = ClientConnection::open(server.port(), 1.0);
@@ -327,28 +216,20 @@ TEST(ZeroCopySendTest, SmallBodiesStayOnTheGatherPath) {
   auto resp = conn->exchange(req, Clock::now() + std::chrono::seconds(5));
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->body, bytes);
-  EXPECT_EQ(server.loop().zerocopy_sends(), 0u);
 }
 
-TEST(ZeroCopySendTest, ExtentBetweenPipelinedRamBodiesKeepsOrder) {
+TEST(ZeroCopySendTest, LargeBodyBetweenPipelinedSmallBodiesKeepsOrder) {
   // Four pipelined requests on one keep-alive connection, answered inline
-  // in one parse batch: a small RAM body, an extent, a 1 MB RAM body and
-  // another small RAM body. The gather must stop at the extent's head, the
-  // extent must go out by sendfile, and the gathers either side of it must
-  // not reorder or skip a byte.
-  const std::string extent_bytes = pattern_body(256 * 1024);
-  auto fx = ExtentFixture::create("mixed", extent_bytes);
-  ASSERT_TRUE(fx.has_value());
+  // in one parse batch: a 300 B body, a 256 KB body, a 1 MB body and
+  // another small body. The gathered writes span response boundaries and
+  // stall mid-body; they must not reorder or skip a byte.
   const std::vector<std::pair<std::string, std::string>> expected{
       {"/small-a", pattern_body(300)},
-      {"/extent", extent_bytes},
+      {"/mid", pattern_body(256 * 1024)},
       {"/big", pattern_body(1024 * 1024)},
       {"/small-b", "last body"},
   };
   BodyServer server(BodyServer::Route([&](const std::string& target) {
-    if (target == "/extent") {
-      return Body::extent(fx->fd, 0, extent_bytes.size());
-    }
     for (const auto& [path, bytes] : expected) {
       if (path == target) return Body(std::string(bytes));
     }
@@ -390,7 +271,6 @@ TEST(ZeroCopySendTest, ExtentBetweenPipelinedRamBodiesKeepsOrder) {
   }
   EXPECT_EQ(got, expected.size());
   EXPECT_TRUE(pending.empty());
-  EXPECT_EQ(server.loop().zerocopy_sends(), 1u);
 }
 
 }  // namespace
