@@ -12,20 +12,6 @@ CentralDirectorySystem::CentralDirectorySystem(
   }
 }
 
-void CentralDirectorySystem::on_insert(NodeIndex node, ObjectId id) {
-  directory_[id].insert(node);
-  ++directory_updates_;
-}
-
-void CentralDirectorySystem::on_evict(NodeIndex node, ObjectId id) {
-  auto it = directory_.find(id);
-  if (it != directory_.end()) {
-    it->second.erase(node);
-    if (it->second.empty()) directory_.erase(it);
-  }
-  ++directory_updates_;
-}
-
 core::RequestOutcome CentralDirectorySystem::handle_request(
     const trace::Record& r) {
   const NodeIndex l1 = topo_.l1_of_client(r.client);
@@ -47,11 +33,11 @@ core::RequestOutcome CentralDirectorySystem::handle_request(
   const Millis query = cost_.control_rtt(net::kIntermediateDistance);
   NodeIndex best = kInvalidNode;
   int best_dist = 4;
-  if (auto it = directory_.find(r.object); it != directory_.end()) {
-    it->second.for_each([&](NodeIndex holder) {
-      if (holder == l1) return;  // our own stale/absent copy does not count
+  if (const NodeSet* held = directory_.find(r.object)) {
+    held->for_each([&](NodeIndex holder) {
+      if (holder == l1) return;  // our own stale copy does not count
       const cache::LruCache::Entry* he = l1_[holder].peek(r.object);
-      if (he == nullptr || he->version < r.version) return;
+      if (he->version < r.version) return;
       const int d = topo_.lca_level(l1, holder);
       if (d < best_dist) {
         best_dist = d;
@@ -60,10 +46,17 @@ core::RequestOutcome CentralDirectorySystem::handle_request(
     });
   }
 
+  // The proxy reports every fill, even one too large to cache; only a
+  // cached copy is recorded as held.
   auto insert_local = [&] {
-    l1_[l1].insert(r.object, r.size, r.version, /*pushed=*/false,
-                   [&](const cache::LruCache::Entry& v) { on_evict(l1, v.id); });
-    on_insert(l1, r.object);
+    if (l1_[l1].insert(r.object, r.size, r.version, /*pushed=*/false,
+                       [&](const cache::LruCache::Entry& v) {
+                         directory_.remove(v.id, l1);
+                         ++directory_updates_;
+                       })) {
+      directory_.add(r.object, l1);
+    }
+    ++directory_updates_;
   };
 
   if (best != kInvalidNode) {
@@ -80,11 +73,8 @@ core::RequestOutcome CentralDirectorySystem::handle_request(
 }
 
 void CentralDirectorySystem::handle_modify(const trace::Record& r) {
-  auto it = directory_.find(r.object);
-  if (it != directory_.end()) {
-    it->second.for_each([&](NodeIndex holder) { l1_[holder].erase(r.object); });
-    directory_.erase(it);
-  }
+  directory_.take(r.object).for_each(
+      [&](NodeIndex holder) { l1_[holder].erase(r.object); });
 }
 
 }  // namespace bh::baseline

@@ -9,11 +9,10 @@
 // load is the unfiltered total the hierarchy's root avoids.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_cache.h"
-#include "common/node_set.h"
+#include "common/holder_index.h"
 #include "core/cache_system.h"
 #include "net/cost_model.h"
 #include "net/topology.h"
@@ -40,15 +39,15 @@ class CentralDirectorySystem final : public core::CacheSystem {
   void export_metrics(obs::MetricsRegistry& reg) const override {
     reg.counter("bh.directory.updates").set(directory_updates_);
   }
+  // Test-only: the directory's holder set for `id` and L1 `n`'s data cache.
+  const NodeSet* holders_of(ObjectId id) const { return directory_.find(id); }
+  const cache::LruCache& l1_cache(NodeIndex n) const { return l1_[n]; }
 
  private:
-  void on_insert(NodeIndex node, ObjectId id);
-  void on_evict(NodeIndex node, ObjectId id);
-
   net::HierarchyTopology topo_;
   const net::CostModel& cost_;
   std::vector<cache::LruCache> l1_;
-  std::unordered_map<ObjectId, NodeSet> directory_;
+  HolderIndex directory_;
   std::uint64_t directory_updates_ = 0;
   bool recording_ = true;
 };

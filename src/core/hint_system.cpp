@@ -81,14 +81,10 @@ placement::Access HintSystem::access_of(const trace::Record& r) const {
   return placement::Access{r.object, r.size, r.version, queue_.now()};
 }
 
-bool HintSystem::fresh_at(NodeIndex node, ObjectId id, Version version) const {
-  const cache::LruCache::Entry* e = l1_[node].peek(id);
-  return e != nullptr && e->version >= version;
-}
-
-bool HintSystem::holder_is_fresh(NodeIndex node,
-                                 const placement::Access& a) const {
-  return fresh_at(node, a.object, a.version);
+const NodeSet& HintSystem::holders(const placement::Access& a) const {
+  static const NodeSet kNone;
+  const NodeSet* s = holders_.find(a.object);
+  return s != nullptr ? *s : kNone;
 }
 
 bool HintSystem::pushed_copy_unused(NodeIndex node,
@@ -98,7 +94,7 @@ bool HintSystem::pushed_copy_unused(NodeIndex node,
 }
 
 bool HintSystem::place_copy(NodeIndex node, const placement::Access& a) {
-  if (fresh_at(node, a.object, a.version)) return false;
+  if (holders_.holds(a.object, node)) return false;
   insert_copy(node, a.object, a.size, a.version, /*pushed=*/true);
   return true;
 }
@@ -116,14 +112,11 @@ void HintSystem::insert_copy(NodeIndex node, ObjectId id, std::uint64_t size,
                              Version version, bool pushed) {
   const bool ok = l1_[node].insert(
       id, size, version, pushed, [this, node](const cache::LruCache::Entry& v) {
-        if (auto it = holders_.find(v.id); it != holders_.end()) {
-          it->second.erase(node);
-          if (it->second.empty()) holders_.erase(it);
-        }
+        holders_.remove(v.id, node);
         meta_.invalidate(node, v.id);
       });
   if (!ok) return;
-  holders_[id].insert(node);
+  holders_.add(id, node);
   meta_.inform(node, id);
 }
 
@@ -176,7 +169,8 @@ RequestOutcome HintSystem::handle_request(const trace::Record& r) {
   if (hint) {
     const NodeIndex m = *hint;
     const int dist = topo_.lca_level(l1, m);
-    if (fresh_at(m, r.object, r.version)) {
+    cache::LruCache::Entry* he = l1_[m].peek_mut(r.object);
+    if (he != nullptr && he->version >= r.version) {
       // 3a. Direct cache-to-cache transfer from the hinted node.
       if (policy_->prices_remote_as_local()) {
         // Best case: the copy would already have been pushed next to the
@@ -186,7 +180,7 @@ RequestOutcome HintSystem::handle_request(const trace::Record& r) {
         out.latency += remote_cost(dist);
       }
       out.source = dist == 2 ? Source::kRemoteL2 : Source::kRemoteL3;
-      out.served_from_pushed = note_use(*l1_[m].peek_mut(r.object));
+      out.served_from_pushed = note_use(*he);
       insert_copy(l1, r.object, r.size, r.version, /*pushed=*/false);
       demand_bytes_ += recording_ ? r.size : 0;
       // The object just crossed the hierarchy: let the policy seed sibling
@@ -203,14 +197,9 @@ RequestOutcome HintSystem::handle_request(const trace::Record& r) {
     if (!client_stores_.empty()) {
       client_stores_[r.client % client_stores_.size()]->erase(r.object);
     }
-  } else if (auto it = holders_.find(r.object);
-             it != holders_.end() && !it->second.empty()) {
-    // No hint although a fresh copy exists somewhere: false negative.
-    bool fresh_somewhere = false;
-    it->second.for_each([&](NodeIndex n) {
-      if (n != l1 && fresh_at(n, r.object, r.version)) fresh_somewhere = true;
-    });
-    out.hint_false_negative = fresh_somewhere;
+  } else if (const NodeSet* held = holders_.find(r.object)) {
+    // No hint although another cache holds a copy: false negative.
+    out.hint_false_negative = held->size() > (held->contains(l1) ? 1 : 0);
   }
 
   // 4. Origin server.
@@ -224,13 +213,12 @@ RequestOutcome HintSystem::handle_request(const trace::Record& r) {
 }
 
 void HintSystem::handle_modify(const trace::Record& r) {
-  auto it = holders_.find(r.object);
-  if (it != holders_.end()) {
-    // The policy sees the stale version's holders before they are dropped
-    // (update push remembers them as candidates for the new version).
-    policy_->on_modify(*this, access_of(r), it->second);
-    it->second.for_each([&](NodeIndex n) { l1_[n].erase(r.object); });
-    holders_.erase(it);
+  // The policy sees the stale holders before their copies are dropped
+  // (update push remembers them as candidates for the new version).
+  const NodeSet stale = holders_.take(r.object);
+  if (!stale.empty()) {
+    policy_->on_modify(*this, access_of(r), stale);
+    stale.for_each([&](NodeIndex n) { l1_[n].erase(r.object); });
   }
   meta_.invalidate_object(r.object);
 }

@@ -21,11 +21,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_cache.h"
-#include "common/node_set.h"
+#include "common/holder_index.h"
 #include "common/rng.h"
 #include "core/cache_system.h"
 #include "hints/metadata_hierarchy.h"
@@ -93,6 +92,9 @@ class HintSystem final : public CacheSystem, private placement::Host {
   // Demand-fetch bytes brought into L1 caches from outside (remote caches or
   // servers) while recording — the "Demand Fetch" bars of Figure 11(b).
   std::uint64_t demand_bytes() const { return demand_bytes_; }
+  // Test-only: the holder index's set for `id` and L1 `n`'s data cache.
+  const NodeSet* holders_of(ObjectId id) const { return holders_.find(id); }
+  const cache::LruCache& l1_cache(NodeIndex n) const { return l1_[n]; }
 
  private:
   // placement::Host — the surface the policy sees.
@@ -105,8 +107,7 @@ class HintSystem final : public CacheSystem, private placement::Host {
   int lca_level(NodeIndex a, NodeIndex b) const override {
     return topo_.lca_level(a, b);
   }
-  bool holder_is_fresh(NodeIndex node,
-                       const placement::Access& a) const override;
+  const NodeSet& holders(const placement::Access& a) const override;
   bool pushed_copy_unused(NodeIndex node,
                           const placement::Access& a) const override;
   bool place_copy(NodeIndex node, const placement::Access& a) override;
@@ -124,7 +125,6 @@ class HintSystem final : public CacheSystem, private placement::Host {
   // Marks a (possibly pushed) entry as used and reports whether it was a
   // push-placed copy.
   bool note_use(cache::LruCache::Entry& e);
-  bool fresh_at(NodeIndex node, ObjectId id, Version version) const;
 
   net::HierarchyTopology topo_;
   const net::CostModel& cost_;
@@ -134,7 +134,7 @@ class HintSystem final : public CacheSystem, private placement::Host {
   std::vector<cache::LruCache> l1_;
   // Per-client hint caches (alternate configuration, real mechanism).
   std::vector<std::unique_ptr<hints::HintStore>> client_stores_;
-  std::unordered_map<ObjectId, NodeSet> holders_;  // ground truth
+  HolderIndex holders_;  // ground truth: which L1s hold each object
   std::unique_ptr<placement::Policy> policy_;
   Rng rng_;
 

@@ -22,11 +22,64 @@ void Policy::export_metrics(obs::MetricsRegistry& reg) const {
 
 bool Policy::push(Host& host, const Access& a, NodeIndex node) {
   if (!host.place_copy(node, a)) return false;
-  if (recording_) {
-    ++stats_.copies_pushed;
-    stats_.bytes_pushed += a.size;
-  }
+  note_pushed(a.size);
   return true;
+}
+
+bool Policy::spend_budget(double max_bytes_per_sec, const Access& a) {
+  const double allowed = max_bytes_per_sec * std::max(a.now, 1.0);
+  if (budget_used_ + static_cast<double>(a.size) > allowed) {
+    if (recording_) ++stats_.pushes_rate_limited;
+    return false;
+  }
+  budget_used_ += static_cast<double>(a.size);
+  return true;
+}
+
+template <typename Admit>
+void Policy::push_on_miss(Host& host, const Access& a, NodeIndex requester,
+                          NodeIndex supplier, std::size_t sibling_count,
+                          std::size_t group_count, Admit&& admit) {
+  const int k = host.lca_level(requester, supplier);
+  if (k < 2) return;
+  holders_ = host.holders(a);
+
+  const std::uint32_t group_size = host.l1_per_l2();
+  const std::uint32_t num_l1 = host.num_l1();
+  const auto group_end = [&](std::uint32_t base) {
+    return std::min(base + group_size, num_l1);
+  };
+  const auto push_into_group = [&](std::uint32_t g, std::size_t count) {
+    candidates_.clear();
+    const std::uint32_t base = g * group_size;
+    for (std::uint32_t n = base; n < group_end(base); ++n) {
+      if (n == requester || n == supplier || holders_.contains(n)) continue;
+      candidates_.push_back(n);
+    }
+    // Random subset of the group, `count` wide.
+    for (std::size_t pick = 0; pick < count && !candidates_.empty(); ++pick) {
+      if (!admit()) return;
+      const std::size_t j = host.rng().next_below(candidates_.size());
+      push(host, a, candidates_[j]);
+      candidates_[j] = candidates_.back();
+      candidates_.pop_back();
+    }
+  };
+
+  // Eligible subtrees are the level-(k-1) subtrees sharing the level-k
+  // parent. For k == 2 those are the individual L1 caches under the shared
+  // L2 parent. For k == 3 they are the L2 groups; the two that fetched the
+  // object already hold a copy and are skipped (Figure 9).
+  if (k == 2) {
+    push_into_group(host.l2_of_l1(requester), sibling_count);
+    return;
+  }
+  for (std::uint32_t g = 0; g < host.num_l2(); ++g) {
+    const std::uint32_t base = g * group_size;
+    std::uint32_t n = base;
+    while (n < group_end(base) && !holders_.contains(n)) ++n;
+    if (n == group_end(base)) push_into_group(g, group_count);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -44,25 +97,18 @@ void UpdatePushPolicy::on_modify(Host& host, const Access& a,
     if (host.pushed_copy_unused(n, a)) return;
     interested.insert(n);
   });
-  if (!interested.empty()) prior_holders_[a.object] = interested;
+  if (!interested.empty()) prior_holders_[a.object.value] = interested;
 }
 
 void UpdatePushPolicy::on_server_fetch(Host& host, const Access& a,
                                        NodeIndex fetcher) {
-  auto it = prior_holders_.find(a.object);
-  if (it == prior_holders_.end()) return;
-  NodeSet targets = it->second;
-  prior_holders_.erase(it);
+  NodeSet* prior = prior_holders_.find(a.object.value);
+  if (prior == nullptr) return;
+  const NodeSet targets = std::move(*prior);
+  prior_holders_.erase(a.object.value);
   targets.for_each([&](NodeIndex n) {
     if (n == fetcher) return;
-    // Respect the configured update-fetch bandwidth cap.
-    const double allowed = max_bytes_per_sec_ * std::max(a.now, 1.0);
-    if (budget_used_ + static_cast<double>(a.size) > allowed) {
-      note_rate_limited();
-      return;
-    }
-    budget_used_ += static_cast<double>(a.size);
-    push(host, a, n);
+    if (spend_budget(max_bytes_per_sec_, a)) push(host, a, n);
   });
 }
 
@@ -99,57 +145,12 @@ std::size_t HierarchicalPushPolicy::degree_count(
 void HierarchicalPushPolicy::on_remote_hit(Host& host, const Access& a,
                                            NodeIndex requester,
                                            NodeIndex supplier) {
-  const int k = host.lca_level(requester, supplier);
-  if (k < 2) return;
-
-  // Eligible subtrees are the level-(k-1) subtrees sharing the level-k
-  // parent. For k == 2 those are the individual L1 caches under the shared
-  // L2 parent, so every push degree seeds the whole group (Figure 9). For
-  // k == 3 they are the L2 groups, and the degree picks 1 / half / all of
-  // each group's caches.
-  std::vector<NodeIndex> group_scratch;
-  auto push_into_group = [&](std::uint32_t g, std::size_t count) {
-    group_scratch.clear();
-    const std::uint32_t base = g * host.l1_per_l2();
-    const std::uint32_t end =
-        std::min(base + host.l1_per_l2(), host.num_l1());
-    for (std::uint32_t n = base; n < end; ++n) {
-      if (n == requester || n == supplier) continue;
-      if (host.holder_is_fresh(n, a)) continue;
-      group_scratch.push_back(n);
-    }
-    // Random subset of the group, `count` wide.
-    for (std::size_t pick = 0; pick < count && !group_scratch.empty();
-         ++pick) {
-      const std::size_t j = host.rng().next_below(group_scratch.size());
-      push(host, a, group_scratch[j]);
-      group_scratch[j] = group_scratch.back();
-      group_scratch.pop_back();
-    }
-  };
-
+  // k == 2: every single-cache subtree under the shared parent gets one, so
+  // every degree seeds the whole group. k == 3: the degree picks 1 / half /
+  // all of each copy-less group's caches.
   const std::uint32_t group_size = host.l1_per_l2();
-  if (k == 2) {
-    // Every level-1 subtree (single cache) under the shared parent gets one.
-    push_into_group(host.l2_of_l1(requester), group_size);
-    return;
-  }
-  // k == 3: seed the level-2 subtrees that do not yet hold a copy (the two
-  // subtrees that fetched it already have one — Figure 9).
-  auto group_has_copy = [&](std::uint32_t g) {
-    const std::uint32_t base = g * host.l1_per_l2();
-    const std::uint32_t end =
-        std::min(base + host.l1_per_l2(), host.num_l1());
-    for (std::uint32_t n = base; n < end; ++n) {
-      if (host.holder_is_fresh(n, a)) return true;
-    }
-    return false;
-  };
-  const std::size_t degree = degree_count(group_size);
-  for (std::uint32_t g = 0; g < host.num_l2(); ++g) {
-    if (group_has_copy(g)) continue;
-    push_into_group(g, degree);
-  }
+  push_on_miss(host, a, requester, supplier, group_size,
+               degree_count(group_size), [] { return true; });
 }
 
 void HierarchicalPushPolicy::select_push_targets(
@@ -180,7 +181,7 @@ void HierarchicalPushPolicy::select_push_targets(
 // ---------------------------------------------------------------------------
 
 double AdaptiveGreedyPolicy::observe(const Access& a) {
-  Demand& d = demand_[a.object];
+  Demand& d = demand_[a.object.value];
   if (d.last > 0 && a.now > d.last) {
     d.rate *= std::exp((d.last - a.now) / p_.adaptive_tau_seconds);
   }
@@ -216,11 +217,11 @@ void AdaptiveGreedyPolicy::refresh_thresholds() {
 }
 
 double AdaptiveGreedyPolicy::demand_rate(ObjectId id, double now) const {
-  const auto it = demand_.find(id);
-  if (it == demand_.end()) return 0.0;
-  double rate = it->second.rate;
-  if (now > it->second.last) {
-    rate *= std::exp((it->second.last - now) / p_.adaptive_tau_seconds);
+  const Demand* d = demand_.find(id.value);
+  if (d == nullptr) return 0.0;
+  double rate = d->rate;
+  if (now > d->last) {
+    rate *= std::exp((d->last - now) / p_.adaptive_tau_seconds);
   }
   return rate;
 }
@@ -240,13 +241,6 @@ std::size_t AdaptiveGreedyPolicy::degree_for(double density,
   return 0;
 }
 
-bool AdaptiveGreedyPolicy::within_budget(const Access& a) {
-  const double allowed = p_.push_max_bytes_per_sec * std::max(a.now, 1.0);
-  if (budget_used_ + static_cast<double>(a.size) > allowed) return false;
-  budget_used_ += static_cast<double>(a.size);
-  return true;
-}
-
 void AdaptiveGreedyPolicy::on_local_hit(Host& host, const Access& a,
                                         NodeIndex node) {
   (void)host, (void)node;
@@ -263,59 +257,16 @@ void AdaptiveGreedyPolicy::on_remote_hit(Host& host, const Access& a,
                                          NodeIndex requester,
                                          NodeIndex supplier) {
   const double density = observe(a);
-  const int k = host.lca_level(requester, supplier);
-  if (k < 2) return;
   const std::uint32_t group_size = host.l1_per_l2();
   const std::size_t degree = degree_for(density, group_size);
   if (degree == 0) return;
-
-  std::vector<NodeIndex> group_scratch;
-  auto push_into_group = [&](std::uint32_t g, std::size_t count) {
-    group_scratch.clear();
-    const std::uint32_t base = g * host.l1_per_l2();
-    const std::uint32_t end =
-        std::min(base + host.l1_per_l2(), host.num_l1());
-    for (std::uint32_t n = base; n < end; ++n) {
-      if (n == requester || n == supplier) continue;
-      if (host.holder_is_fresh(n, a)) continue;
-      group_scratch.push_back(n);
-    }
-    for (std::size_t pick = 0; pick < count && !group_scratch.empty();
-         ++pick) {
-      if (!within_budget(a)) {
-        note_rate_limited();
-        return;
-      }
-      const std::size_t j = host.rng().next_below(group_scratch.size());
-      push(host, a, group_scratch[j]);
-      group_scratch[j] = group_scratch.back();
-      group_scratch.pop_back();
-    }
-  };
-
-  if (k == 2) {
-    // The miss just crossed inside one L2 subtree: the whole sibling group
-    // shares the demand the hint hierarchy just proved, so a warm-or-hotter
-    // object seeds the full group (the paper's k==2 rule); the demand
-    // estimate gates cool objects down to a single copy and cold ones to
-    // none.
-    push_into_group(host.l2_of_l1(requester),
-                    degree == 1 ? 1 : group_size);
-    return;
-  }
-  auto group_has_copy = [&](std::uint32_t g) {
-    const std::uint32_t base = g * host.l1_per_l2();
-    const std::uint32_t end =
-        std::min(base + host.l1_per_l2(), host.num_l1());
-    for (std::uint32_t n = base; n < end; ++n) {
-      if (host.holder_is_fresh(n, a)) return true;
-    }
-    return false;
-  };
-  for (std::uint32_t g = 0; g < host.num_l2(); ++g) {
-    if (group_has_copy(g)) continue;
-    push_into_group(g, degree);
-  }
+  // A miss that crossed inside one L2 subtree proves demand in the whole
+  // sibling group, so a warm-or-hotter object seeds the full group (the
+  // paper's k==2 rule); the demand estimate gates cool objects down to a
+  // single copy and cold ones to none.
+  push_on_miss(host, a, requester, supplier, degree == 1 ? 1 : group_size,
+               degree,
+               [&] { return spend_budget(p_.push_max_bytes_per_sec, a); });
 }
 
 void AdaptiveGreedyPolicy::select_push_targets(
@@ -330,10 +281,7 @@ void AdaptiveGreedyPolicy::select_push_targets(
   const std::size_t want =
       degree_for(density, static_cast<std::uint32_t>(pool.size()));
   for (std::size_t pick = 0; pick < want && !pool.empty(); ++pick) {
-    if (!within_budget(a)) {
-      note_rate_limited();
-      return;
-    }
+    if (!spend_budget(p_.push_max_bytes_per_sec, a)) return;
     const std::size_t j = rng.next_below(pool.size());
     out.push_back(pool[j]);
     pool[j] = pool.back();

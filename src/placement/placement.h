@@ -12,8 +12,8 @@
 //
 // Two host surfaces drive a policy:
 //   - the simulator calls the on_* hooks with the hierarchy topology exposed
-//     through `Host` (freshness checks, copy placement, the shared RNG whose
-//     draw order makes runs reproducible);
+//     through `Host` (the object's holder set, copy placement, the shared RNG
+//     whose draw order makes runs reproducible);
 //   - the live proxy calls `select_push_targets` with a flat candidate list
 //     of neighbour ports when a peer fetches an object from it, and records
 //     successful PUTs through note_pushed().
@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/node_set.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -50,7 +50,7 @@ struct Access {
 };
 
 // What the simulator exposes to a policy: the three-level hierarchy's shape,
-// freshness/usage queries, copy placement, and the run's deterministic RNG.
+// holder/usage queries, copy placement, and the run's deterministic RNG.
 // Draw order through rng() is part of the reproducibility contract — a
 // policy must only draw when it actually places copies.
 class Host {
@@ -66,13 +66,16 @@ class Host {
   // subtree, 3 = different L2 subtrees.
   virtual int lca_level(NodeIndex a, NodeIndex b) const = 0;
 
-  // Whether `node` already holds a fresh copy of the accessed object.
-  virtual bool holder_is_fresh(NodeIndex node, const Access& a) const = 0;
+  // The nodes holding a copy of the accessed object. Every holder has the
+  // latest version (a modification drops all copies first). The reference
+  // is valid only until the next place_copy(): a policy that places copies
+  // snapshots the set first.
+  virtual const NodeSet& holders(const Access& a) const = 0;
   // Whether `node` holds a push-placed copy of the object that was never
   // read — the update-push aging signal (stop pushing to the uninterested).
   virtual bool pushed_copy_unused(NodeIndex node, const Access& a) const = 0;
-  // Places a pushed copy at `node`. Returns false when the node already has
-  // a fresh copy (nothing placed, nothing for the policy to account).
+  // Places a pushed copy at `node`. Returns false when the node already
+  // holds the object (nothing placed, nothing for the policy to account).
   virtual bool place_copy(NodeIndex node, const Access& a) = 0;
 
   virtual Rng& rng() = 0;
@@ -170,16 +173,33 @@ class Policy {
 
  protected:
   // Places a copy via the host and accounts it; returns whether a copy was
-  // actually placed (false when the target already held a fresh one).
+  // actually placed (false when the target already held one).
   bool push(Host& host, const Access& a, NodeIndex node);
-  void note_rate_limited() {
-    if (recording_) ++stats_.pushes_rate_limited;
-  }
+  // Hierarchical push on miss (Section 4.1.1, Figure 9): the object crossed
+  // the hierarchy from `supplier` to `requester`. If they share an L2
+  // subtree, pushes `sibling_count` copies into it; if not, pushes
+  // `group_count` copies into every L2 group that holds no copy yet. Within
+  // a group, each copy goes to a node drawn uniformly at random among those
+  // that are neither holders nor the requester or supplier. `admit()` runs
+  // before each draw and may stop the group (a byte budget).
+  template <typename Admit>
+  void push_on_miss(Host& host, const Access& a, NodeIndex requester,
+                    NodeIndex supplier, std::size_t sibling_count,
+                    std::size_t group_count, Admit&& admit);
+  // Spends `a.size` bytes of a `max_bytes_per_sec` * elapsed budget
+  // (Section 4.1.2's update-fetch cap). Returns false, counting the push as
+  // rate-limited, when the budget is used up.
+  bool spend_budget(double max_bytes_per_sec, const Access& a);
 
  private:
   std::string name_;
   PushStats stats_;
   bool recording_ = true;
+  double budget_used_ = 0;  // bytes spend_budget has granted
+  // push_on_miss scratch: the holder snapshot (pushes may evict, so the
+  // host's set cannot be walked while placing) and one group's candidates.
+  NodeSet holders_;
+  std::vector<NodeIndex> candidates_;
 };
 
 // Knobs shared by the built-in policies. A single struct keeps config
@@ -234,9 +254,8 @@ class UpdatePushPolicy final : public Policy {
 
  private:
   double max_bytes_per_sec_;
-  double budget_used_ = 0;  // bytes of update push consumed so far
   // Holders of the stale version, awaiting the new version's first fetch.
-  std::unordered_map<ObjectId, NodeSet> prior_holders_;
+  FlatMap<NodeSet> prior_holders_;
 };
 
 // Section 4.1.1 hierarchical push on miss: when an object crosses the
@@ -294,12 +313,11 @@ class AdaptiveGreedyPolicy final : public Policy {
   // Copies to place per eligible subtree of `group_size` nodes for an object
   // at gain density `density`; 0 means "not worth a push".
   std::size_t degree_for(double density, std::uint32_t group_size) const;
-  bool within_budget(const Access& a);
   // Recomputes the quantile thresholds from the density window.
   void refresh_thresholds();
 
   PolicyParams p_;
-  std::unordered_map<ObjectId, Demand> demand_;
+  FlatMap<Demand> demand_;
   // Sliding window of recent observed densities; the acceptance thresholds
   // are its configured quantiles, refreshed every kRefreshEvery
   // observations. Until kMinSamples observations arrive the policy behaves
@@ -311,7 +329,6 @@ class AdaptiveGreedyPolicy final : public Policy {
   std::size_t window_pos_ = 0;
   std::uint64_t observations_ = 0;
   double thr_hot_ = 0, thr_warm_ = 0, thr_cool_ = 0;
-  double budget_used_ = 0;
 };
 
 // --- registry ---

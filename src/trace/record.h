@@ -5,7 +5,9 @@
 // carries (client, URL hash, size, cachability); Modify events are the
 // generator's stand-in for the last-modified-time information the paper
 // extracts from the DEC traces, and drive strong-consistency invalidations
-// and the update-push algorithm.
+// and the update-push algorithm. An object's version changes only at its
+// Modify events, which drop every cached copy, so a cached copy is always
+// the latest version.
 #pragma once
 
 #include <cstdint>

@@ -196,5 +196,20 @@ TEST(CentralDirectoryTest, EvictionsUpdateDirectory) {
   EXPECT_EQ(out.source, core::Source::kServer);
 }
 
+TEST(CentralDirectoryTest, FillTooLargeToCacheIsNotRecordedAsHeld) {
+  net::HierarchyTopology topo{16, 4, 4};
+  auto cost = net::RousskovCostModel::min();
+  CentralDirectoryConfig cfg;
+  cfg.l1_capacity = 10000;
+  CentralDirectorySystem sys{topo, cost, cfg};
+  sys.handle_request(req(1, 0, 20000));  // reported, but L1 0 cannot keep it
+  EXPECT_EQ(sys.directory_updates(), 1u);
+  EXPECT_EQ(sys.l1_cache(0).peek(ObjectId{1}), nullptr);
+  EXPECT_EQ(sys.holders_of(ObjectId{1}), nullptr);
+  sys.handle_request(req(1, 0, 4000));  // a later fill that fits is held
+  ASSERT_NE(sys.holders_of(ObjectId{1}), nullptr);
+  EXPECT_TRUE(sys.holders_of(ObjectId{1})->contains(0));
+}
+
 }  // namespace
 }  // namespace bh::baseline

@@ -218,30 +218,36 @@ TEST(PlacementAdaptive, ParallelSweepIsDeterministic) {
 
 namespace {
 
-// Minimal Host for driving policy hooks without a simulator.
+// Minimal Host for driving policy hooks without a simulator: 16 L1 caches
+// in four L2 groups of four, one object.
 class FakeHost final : public placement::Host {
  public:
-  std::uint32_t num_l1() const override { return 8; }
+  std::uint32_t num_l1() const override { return 16; }
   std::uint32_t l1_per_l2() const override { return 4; }
-  std::uint32_t num_l2() const override { return 2; }
+  std::uint32_t num_l2() const override { return 4; }
   std::uint32_t l2_of_l1(NodeIndex n) const override { return n / 4; }
   int lca_level(NodeIndex a, NodeIndex b) const override {
     if (a == b) return 1;
     return l2_of_l1(a) == l2_of_l1(b) ? 2 : 3;
   }
-  bool holder_is_fresh(NodeIndex, const placement::Access&) const override {
-    return false;
+  const NodeSet& holders(const placement::Access&) const override {
+    return held;
   }
   bool pushed_copy_unused(NodeIndex, const placement::Access&) const override {
     return false;
   }
-  bool place_copy(NodeIndex, const placement::Access&) override {
+  bool place_copy(NodeIndex n, const placement::Access&) override {
+    if (held.contains(n)) return false;
+    held.insert(n);
+    pushed_to.push_back(n);
     ++placed;
     return true;
   }
   Rng& rng() override { return rng_; }
 
   int placed = 0;
+  NodeSet held;                     // the object's holders
+  std::vector<NodeIndex> pushed_to;  // place_copy targets, in order
 
  private:
   Rng rng_{42};
@@ -265,4 +271,57 @@ TEST(PlacementAdaptive, DemandRateRisesWithAccessesAndDecaysWithSilence) {
   }
   // A long silence decays the estimate toward zero.
   EXPECT_LT(policy.demand_rate(id, 1000.0), rate_after_five / 100.0);
+}
+
+// The shared push-on-miss helper behind push-1/half/all and adaptive-greedy:
+// a sequence of remote hits on one host (so the RNG state carries from hit
+// to hit), with holders planted in some groups. The expected targets were
+// pinned from the per-node freshness probes this helper replaced; matching
+// them shows the draw order is unchanged.
+TEST(PlacementPushOnMiss, SkipsHoldersAndHeldGroupsInPinnedDrawOrder) {
+  struct Hit {
+    const char* policy;
+    NodeIndex requester, supplier;
+    std::vector<NodeIndex> planted;  // other holders before the hit
+    std::vector<NodeIndex> want;     // pinned place_copy targets, in order
+  };
+  const std::vector<Hit> hits = {
+      // k == 2: the requester's group, minus its holders.
+      {"push-all", 0, 1, {3}, {2}},
+      {"push-half", 4, 5, {}, {7, 6}},
+      // k == 3: only groups without a copy; group 1 has the supplier.
+      {"push-half", 0, 8, {13}, {5, 4}},
+      {"push-1", 1, 5, {}, {8, 15}},
+      {"push-all", 2, 14, {5}, {8, 10, 9, 11}},
+      // adaptive-greedy, still calibrating: push-half's degree at k == 3,
+      // the whole group at k == 2.
+      {"adaptive-greedy", 0, 4, {10}, {12, 13}},
+      {"adaptive-greedy", 12, 13, {}, {15, 14}},
+  };
+  FakeHost host;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    const Hit& h = hits[i];
+    SCOPED_TRACE(testing::Message() << "hit " << i << " (" << h.policy << ")");
+    const auto policy = placement::make_policy(h.policy);
+    host.held = NodeSet{};
+    host.held.insert(h.requester);
+    host.held.insert(h.supplier);
+    for (const NodeIndex n : h.planted) host.held.insert(n);
+    const NodeSet before = host.held;
+    host.pushed_to.clear();
+    policy->on_remote_hit(host, {ObjectId{7 + i}, 1000, 1, 1.0}, h.requester,
+                          h.supplier);
+    for (const NodeIndex n : host.pushed_to) {
+      EXPECT_FALSE(before.contains(n)) << "pushed to holder " << n;
+      if (host.l2_of_l1(h.requester) != host.l2_of_l1(h.supplier)) {
+        const std::uint32_t g = host.l2_of_l1(n);
+        bool group_held = false;
+        before.for_each([&](NodeIndex m) {
+          group_held = group_held || host.l2_of_l1(m) == g;
+        });
+        EXPECT_FALSE(group_held) << "pushed into held group " << g;
+      }
+    }
+    EXPECT_EQ(host.pushed_to, h.want);
+  }
 }
