@@ -171,11 +171,10 @@ void BM_StripedHintApplyBatch(benchmark::State& state) {
   std::vector<ObjectId> ids;
   for (int i = 0; i < 256; ++i) ids.push_back(ObjectId{rng.next_u64() | 1});
   for (auto _ : state) {
-    store->apply_batch(ids, [](std::size_t i,
-                               std::optional<MachineId> cur) {
-      if (cur.has_value()) return hints::HintStore::BatchDecision::erase_hint();
-      return hints::HintStore::BatchDecision::insert_loc(
-          hints::machine_of_node(i % 64));
+    using Decision = hints::StripedHintStore::BatchDecision;
+    store->apply_batch(ids, [](std::size_t i, std::optional<MachineId> cur) {
+      if (cur.has_value()) return Decision::erase_hint();
+      return Decision::insert_loc(hints::machine_of_node(i % 64));
     });
   }
   state.SetItemsProcessed(state.iterations() *

@@ -252,25 +252,6 @@ StripedHintStore::StripedHintStore(std::uint64_t capacity_bytes,
   }
 }
 
-void HintStore::apply_batch(
-    std::span<const ObjectId> ids,
-    const std::function<BatchDecision(std::size_t,
-                                      std::optional<MachineId>)>& decide) {
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const BatchDecision d = decide(i, lookup(ids[i]));
-    switch (d.op) {
-      case BatchDecision::Op::kKeep:
-        break;
-      case BatchDecision::Op::kInsert:
-        insert(ids[i], d.loc);
-        break;
-      case BatchDecision::Op::kErase:
-        erase(ids[i]);
-        break;
-    }
-  }
-}
-
 std::optional<MachineId> StripedHintStore::lookup(ObjectId id) {
   Stripe& s = stripe_of(id);
   std::lock_guard lock(s.mu);
@@ -353,8 +334,8 @@ std::unique_ptr<HintStore> make_hint_store(std::uint64_t capacity_bytes) {
   return std::make_unique<AssociativeHintCache>(capacity_bytes);
 }
 
-std::unique_ptr<HintStore> make_striped_hint_store(std::uint64_t capacity_bytes,
-                                                   std::size_t stripes) {
+std::unique_ptr<StripedHintStore> make_striped_hint_store(
+    std::uint64_t capacity_bytes, std::size_t stripes) {
   return std::make_unique<StripedHintStore>(capacity_bytes, stripes);
 }
 

@@ -49,39 +49,11 @@ class HintStore {
 
   virtual std::size_t entry_count() const = 0;
 
-  // One outcome of an apply_batch decision callback.
-  struct BatchDecision {
-    enum class Op : std::uint8_t { kKeep, kInsert, kErase };
-    Op op = Op::kKeep;
-    MachineId loc{0};
-
-    static BatchDecision keep() { return {}; }
-    static BatchDecision insert_loc(MachineId l) {
-      return {Op::kInsert, l};
-    }
-    static BatchDecision erase_hint() { return {Op::kErase, MachineId{0}}; }
-  };
-
-  // Batched read-modify-write: for each id (in order), `decide(i, current)`
-  // sees the current hint for ids[i] and returns the mutation to apply. The
-  // base implementation is a lookup plus a mutation per id; StripedHintStore
-  // overrides it to group ids by stripe and take each stripe lock once per
-  // batch instead of twice per id — the proxy applies a whole received
-  // update batch through one striped-store pass. `decide` may run under a
-  // stripe lock and must not re-enter the store.
-  virtual void apply_batch(
-      std::span<const ObjectId> ids,
-      const std::function<BatchDecision(std::size_t,
-                                        std::optional<MachineId>)>& decide);
-
   // Enumerates every stored hint — the persistence path walks the striped
-  // store through this to build a save image. Stores that cannot enumerate
-  // yield nothing (the default). Thread safety follows the store's own
-  // contract; `fn` must not re-enter the store.
+  // store through this to build a save image. Thread safety follows the
+  // store's own contract; `fn` must not re-enter the store.
   virtual void for_each(
-      const std::function<void(ObjectId, MachineId)>& fn) const {
-    (void)fn;
-  }
+      const std::function<void(ObjectId, MachineId)>& fn) const = 0;
 };
 
 struct HintCacheStats {
@@ -173,13 +145,31 @@ class StripedHintStore final : public HintStore {
   bool erase(ObjectId id) override;
   std::size_t entry_count() const override;
 
-  // Groups ids by stripe and applies each group under a single stripe-lock
-  // acquisition. Ids on the same stripe are still decided in batch order
-  // relative to each other; cross-stripe order is by stripe index.
+  // One outcome of an apply_batch decision callback.
+  struct BatchDecision {
+    enum class Op : std::uint8_t { kKeep, kInsert, kErase };
+    Op op = Op::kKeep;
+    MachineId loc{0};
+
+    static BatchDecision keep() { return {}; }
+    static BatchDecision insert_loc(MachineId l) {
+      return {Op::kInsert, l};
+    }
+    static BatchDecision erase_hint() { return {Op::kErase, MachineId{0}}; }
+  };
+
+  // Batched read-modify-write: for each id, `decide(i, current)` sees the
+  // current hint for ids[i] and returns the mutation to apply. Ids are
+  // grouped by stripe and each group is applied under a single stripe-lock
+  // acquisition instead of a lookup plus a mutation per id — the proxy
+  // applies a whole received update batch through one pass. Ids on the same
+  // stripe are decided in batch order relative to each other; cross-stripe
+  // order is by stripe index. `decide` runs under a stripe lock and must
+  // not re-enter the store.
   void apply_batch(
       std::span<const ObjectId> ids,
-      const std::function<BatchDecision(
-          std::size_t, std::optional<MachineId>)>& decide) override;
+      const std::function<BatchDecision(std::size_t,
+                                        std::optional<MachineId>)>& decide);
 
   // Walks each stripe under its own lock; entries from one stripe keep that
   // stripe's order, stripes are visited in index order.
@@ -214,7 +204,7 @@ std::unique_ptr<HintStore> make_hint_store(std::uint64_t capacity_bytes);
 
 // Thread-safe striped variant for concurrent callers; `stripes` is clamped
 // to at least 1.
-std::unique_ptr<HintStore> make_striped_hint_store(std::uint64_t capacity_bytes,
-                                                   std::size_t stripes);
+std::unique_ptr<StripedHintStore> make_striped_hint_store(
+    std::uint64_t capacity_bytes, std::size_t stripes);
 
 }  // namespace bh::hints

@@ -73,10 +73,16 @@ void ConnectionPool::note_reuse() {
   ++reuses_;
 }
 
-std::optional<HttpResponse> http_call(ConnectionPool& pool, std::uint16_t port,
-                                      const HttpRequest& request,
-                                      const CallOptions& opts,
-                                      int* attempts_used) {
+namespace {
+
+// The one deadline/attempt/backoff loop behind both http_call overloads.
+// With a pool, an attempt tries a parked connection first; a stale one (the
+// peer idled it out) gets one silent fresh-connection retry inside the same
+// attempt, and a successful keep-alive exchange parks its connection.
+// Without one, every attempt is a fresh one-exchange connection.
+std::optional<HttpResponse> call(ConnectionPool* pool, std::uint16_t port,
+                                 const HttpRequest& request,
+                                 const CallOptions& opts, int* attempts_used) {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(opts.deadline_seconds));
@@ -84,32 +90,24 @@ std::optional<HttpResponse> http_call(ConnectionPool& pool, std::uint16_t port,
   int attempts = 0;
   std::optional<HttpResponse> result;
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    double remaining = seconds_until(deadline);
-    if (remaining <= 0) break;
+    if (seconds_until(deadline) <= 0) break;
     ++attempts;
-
-    // A parked connection first; a stale one (the peer idled it out) gets
-    // one silent fresh-connection retry inside the same attempt.
-    bool exchanged = false;
-    if (auto pooled = pool.acquire(port)) {
+    if (auto pooled = pool ? pool->acquire(port) : std::nullopt) {
       if ((result = pooled->exchange(request, deadline))) {
-        pool.note_reuse();
-        pool.release(std::move(*pooled));
-        exchanged = true;
+        pool->note_reuse();
+        pool->release(std::move(*pooled));
+        break;
       }
     }
-    if (!exchanged) {
-      remaining = seconds_until(deadline);
-      if (remaining > 0) {
-        if (auto fresh = ClientConnection::open(port, remaining)) {
-          if ((result = fresh->exchange(request, deadline))) {
-            pool.release(std::move(*fresh));
-          }
+    const double remaining = seconds_until(deadline);
+    if (remaining > 0) {
+      if (auto fresh = ClientConnection::open(port, remaining)) {
+        if ((result = fresh->exchange(request, deadline, pool != nullptr))) {
+          if (pool) pool->release(std::move(*fresh));
+          break;
         }
       }
     }
-    if (result) break;
-
     if (attempt + 1 < opts.max_attempts) {
       const double delay =
           std::min(backoff_delay(attempt, opts, rng), seconds_until(deadline));
@@ -120,6 +118,22 @@ std::optional<HttpResponse> http_call(ConnectionPool& pool, std::uint16_t port,
   }
   if (attempts_used) *attempts_used = attempts;
   return result;
+}
+
+}  // namespace
+
+std::optional<HttpResponse> http_call(ConnectionPool& pool, std::uint16_t port,
+                                      const HttpRequest& request,
+                                      const CallOptions& opts,
+                                      int* attempts_used) {
+  return call(&pool, port, request, opts, attempts_used);
+}
+
+std::optional<HttpResponse> http_call(std::uint16_t port,
+                                      const HttpRequest& request,
+                                      const CallOptions& opts,
+                                      int* attempts_used) {
+  return call(nullptr, port, request, opts, attempts_used);
 }
 
 }  // namespace bh::proxy

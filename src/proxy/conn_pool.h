@@ -9,8 +9,9 @@
 // discarded at acquire/release time; the per-peer bound caps daemon fd
 // usage no matter how many peers a topology wires up.
 //
-// The pooled http_call mirrors the plain one's failure budget, with one
-// extra rule: a failure on a *reused* connection is retried once on a fresh
+// Both http_call overloads run one attempt loop (conn_pool.cpp), so the
+// pooled one keeps the plain one's failure budget, with one extra rule: a
+// failure on a *reused* connection is retried once on a fresh
 // connection inside the same attempt, because a stale pooled stream (the
 // server idled it out between exchanges) is a property of the pool, not of
 // the peer — it must not count against quarantine thresholds or consume

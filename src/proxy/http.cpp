@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <thread>
 
 namespace bh::proxy {
 namespace {
@@ -363,36 +362,6 @@ std::optional<HttpResponse> ClientConnection::exchange(
 std::optional<HttpResponse> http_call(std::uint16_t port,
                                       const HttpRequest& request) {
   return http_call(port, request, CallOptions{});
-}
-
-std::optional<HttpResponse> http_call(std::uint16_t port,
-                                      const HttpRequest& request,
-                                      const CallOptions& opts,
-                                      int* attempts_used) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opts.deadline_seconds));
-  Rng rng(opts.backoff_seed);
-  int attempts = 0;
-  std::optional<HttpResponse> result;
-  for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    const double remaining = seconds_until(deadline);
-    if (remaining <= 0) break;
-    ++attempts;
-    if (auto conn = ClientConnection::open(port, remaining)) {
-      result = conn->exchange(request, deadline, /*keep_alive=*/false);
-      if (result) break;
-    }
-    if (attempt + 1 < opts.max_attempts) {
-      const double delay =
-          std::min(backoff_delay(attempt, opts, rng), seconds_until(deadline));
-      if (delay > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      }
-    }
-  }
-  if (attempts_used) *attempts_used = attempts;
-  return result;
 }
 
 }  // namespace bh::proxy

@@ -200,9 +200,10 @@ class ClientConnection {
 std::optional<HttpResponse> http_call(std::uint16_t port,
                                       const HttpRequest& request);
 
-// Client exchange under an explicit failure budget. If `attempts_used` is
-// non-null it receives the number of attempts made (>= 1 whenever the
-// deadline admitted at least one).
+// Client exchange under an explicit failure budget, each attempt on a fresh
+// connection. If `attempts_used` is non-null it receives the number of
+// attempts made (>= 1 whenever the deadline admitted at least one). It
+// shares its attempt loop with the pooled overload in conn_pool.cpp.
 std::optional<HttpResponse> http_call(std::uint16_t port,
                                       const HttpRequest& request,
                                       const CallOptions& opts,

@@ -51,6 +51,20 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// A 200 carrying a short text body.
+HttpResponse text_reply(const char* body) {
+  HttpResponse resp;
+  resp.body = body;
+  return resp;
+}
+
+HttpResponse error_reply(int status, const char* reason) {
+  HttpResponse resp;
+  resp.status = status;
+  resp.reason = reason;
+  return resp;
+}
+
 }  // namespace
 
 ProxyServer::Counters ProxyServer::make_counters(obs::MetricsRegistry& reg) {
@@ -342,9 +356,13 @@ void ProxyServer::dispatch_request(std::uint64_t token, HttpRequest req) {
     const bool cache_only = req.header("X-No-Forward").has_value();
     const auto id = object_from_path(req.path());
     if (id && !(cache_only && push_enabled_)) {
-      if (auto hit = serve_ram_hit(*id, cache_only,
-                                   std::chrono::steady_clock::now())) {
-        http_loop_->respond(token, std::move(*hit));
+      const auto t0 = std::chrono::steady_clock::now();
+      if (cache::BodyPtr body = cache_.find(*id)) {
+        if (!cache_only) c_.requests.inc();
+        HttpResponse resp =
+            reply(Tier::kRam, cache::Body(std::move(body)), cache_only);
+        if (!cache_only) request_ms_.record(ms_since(t0));
+        http_loop_->respond(token, std::move(resp));
         return;
       }
     }
@@ -391,31 +409,20 @@ HttpResponse ProxyServer::handle(const HttpRequest& req) {
     // Orchestration hook: daemons bind ephemeral ports, so a launcher can
     // only wire the hint topology once every daemon is up and has reported
     // its port. Body: the neighbour's decimal port.
-    HttpResponse resp;
-    if (const auto port = parse_port(req.body)) {
-      add_hint_neighbor(*port);
-      resp.body = "ok";
-    } else {
-      resp.status = 400;
-      resp.reason = "Bad Request";
-    }
-    return resp;
+    const auto port = parse_port(req.body);
+    if (!port) return error_reply(400, "Bad Request");
+    add_hint_neighbor(*port);
+    return text_reply("ok");
   }
   if (req.method == "PUT") {
     return handle_push(req);
   }
   if (req.method == "DELETE") {
     // Server-driven invalidation from the origin.
-    HttpResponse resp;
     const auto id = object_from_path(req.path());
-    if (!id) {
-      resp.status = 404;
-      resp.reason = "Not Found";
-      return resp;
-    }
+    if (!id) return error_reply(404, "Not Found");
     invalidate(*id);
-    resp.body = "invalidated";
-    return resp;
+    return text_reply("invalidated");
   }
   if (req.method == "GET") {
     if (req.path() == "/metrics") {
@@ -423,10 +430,7 @@ HttpResponse ProxyServer::handle(const HttpRequest& req) {
     }
     return handle_get(req);
   }
-  HttpResponse resp;
-  resp.status = 404;
-  resp.reason = "Not Found";
-  return resp;
+  return error_reply(404, "Not Found");
 }
 
 // ---------------------------------------------------------------------------
@@ -435,179 +439,167 @@ HttpResponse ProxyServer::handle(const HttpRequest& req) {
 // always touch different ones)
 // ---------------------------------------------------------------------------
 
-// 1. Local cache (one shard lock). find() hands back the stored shared
-// buffer, and the response adopts it: the hit's bytes are never copied
-// between the shard and the socket write. A miss counts nothing, so the
-// worker that takes over counts the request once.
-std::optional<HttpResponse> ProxyServer::serve_ram_hit(
-    ObjectId id, bool cache_only, std::chrono::steady_clock::time_point t0) {
-  cache::BodyPtr body = cache_.find(id);
-  if (!body) return std::nullopt;
-  HttpResponse resp;
-  resp.body = cache::Body(std::move(body));
-  resp.headers.emplace_back("X-Cache", "HIT");
-  resp.headers.emplace_back("X-Served-By", cfg_.name);
-  if (cache_only) {
-    c_.peer_serves.inc();  // peer probe: not a client request, untimed
-    return resp;
-  }
-  c_.requests.inc();
-  c_.local_hits.inc();
-  request_ms_.record(ms_since(t0));
-  return resp;
-}
-
 HttpResponse ProxyServer::handle_get(const HttpRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto id = object_from_path(req.path());
+  if (!id) return error_reply(404, "Not Found");  // untimed, uncounted
   const bool cache_only = req.header("X-No-Forward").has_value();
-  if (id) {
-    if (auto hit = serve_ram_hit(*id, cache_only, t0)) {
-      if (cache_only && push_enabled_ && !stopping_.load()) {
-        // A cousin just fetched from us: let the placement policy pick which
-        // other neighbours to seed (hierarchical push on miss, supplier-
-        // driven, Figure 9; the adaptive policy gates on demand estimates).
-        std::uint16_t requester = 0;
-        if (auto r = req.header("X-Requester-Port")) {
-          requester = parse_port(*r).value_or(0);
-        }
-        push_to_peers(*id, hit->body, requester);
-      }
-      return std::move(*hit);
+  // Counted as it starts, so a client stuck on a slow tier is visible.
+  if (!cache_only) c_.requests.inc();
+  HttpResponse resp = serve_tiers(*id, req.target, cache_only);
+  if (!cache_only) {
+    request_ms_.record(ms_since(t0));
+  } else if (resp.status == 200 && push_enabled_ && !stopping_.load()) {
+    // A cousin just fetched from us (RAM or disk): let the placement policy
+    // pick which other neighbours to seed (hierarchical push on miss,
+    // supplier-driven, Figure 9; the adaptive policy gates on demand
+    // estimates).
+    std::uint16_t requester = 0;
+    if (auto r = req.header("X-Requester-Port")) {
+      requester = parse_port(*r).value_or(0);
     }
+    push_to_peers(*id, resp.body, requester);
   }
-  HttpResponse resp = handle_ram_miss(req, id, cache_only);
-  if (!cache_only) request_ms_.record(ms_since(t0));
   return resp;
 }
 
-HttpResponse ProxyServer::handle_ram_miss(const HttpRequest& req,
-                                          std::optional<ObjectId> id,
-                                          bool cache_only) {
-  HttpResponse resp;
-  if (!id) {
-    resp.status = 404;
-    resp.reason = "Not Found";
-    return resp;
+HttpResponse ProxyServer::serve_tiers(ObjectId id, const std::string& target,
+                                      bool cache_only) {
+  // 1. RAM (one shard lock). Repeated on the worker: it catches fills that
+  // landed while the request was queued. find() hands back the stored
+  // shared buffer, and the response adopts it, so no byte is copied.
+  if (cache::BodyPtr body = cache_.find(id)) {
+    return reply(Tier::kRam, cache::Body(std::move(body)), cache_only);
   }
-  if (!cache_only) c_.requests.inc();
-  // Taken before any tier below is read: a fill whose bytes may predate an
+  // Taken before any other tier is read: a fill whose bytes may predate an
   // invalidate(id) that runs meanwhile is refused when it tries to store.
   const FillTicket ticket = fill_ticket();
-
-  // 1b. Disk tier: a RAM miss can still be a node hit. The body is read
-  // through the store's checksummed get_body; one that fails its checksum
-  // is dropped and the request falls through as a miss, so a corrupt file
-  // is never served to a client or a peer. A RAM-sized body is promoted
-  // back into RAM without re-advertising (the node never stopped holding
-  // the object, so peers learned nothing new). A larger body is served from
-  // the verified buffer and not re-put: that would only rewrite the same
-  // file. Peer probes see a plain HIT, clients see which tier answered.
-  if (disk_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::optional<cache::Body> body = disk_->get_body(*id);
-    if (body && body->size() <= cache_.max_object_bytes()) {
-      store_internal(*id, body->shared(), /*replace_existing=*/true,
-                     /*pushed=*/false, /*advertise=*/false, ticket);
-      c_.disk_promotions.inc();
-      promote_ms_.record(ms_since(t0));
-    }
-    if (body) {
-      c_.disk_hits.inc();
-      if (cache_only) {
-        c_.peer_serves.inc();
-      } else {
-        c_.local_hits.inc();
-      }
-      resp.body = std::move(*body);
-      resp.headers.emplace_back("X-Cache", cache_only ? "HIT" : "DISK");
-      resp.headers.emplace_back("X-Served-By", cfg_.name);
-      return resp;
-    }
-    c_.disk_misses.inc();
+  if (auto body = from_disk(id, ticket)) {
+    return reply(Tier::kDisk, std::move(*body), cache_only);
   }
   if (cache_only) {
     // A peer probed us on a hint we no longer honour: the error reply that
     // prices a false positive.
     c_.peer_rejects.inc();
-    resp.status = 404;
-    resp.reason = "Not Cached";
-    resp.headers.emplace_back("X-Served-By", cfg_.name);
-    return resp;
+    return error_reply(404, "Not Cached");
   }
-
-  // 2. The local hint cache (a memory lookup; one stripe lock).
-  const std::optional<MachineId> hint = hints_->lookup(*id);
-
-  // 3. Direct cache-to-cache transfer from the hinted peer: single-shot with
-  // a tight dedicated deadline — a dead peer costs one bounded round trip,
-  // never a full socket timeout, and a quarantined peer costs nothing.
-  if (hint && !stopping_.load()) {
-    const auto peer_port = static_cast<std::uint16_t>(hint->value);
-    const bool usable = peer_usable(peer_port);
-    if (!usable) c_.quarantine_skips.inc();
-    if (usable) {
-      HttpRequest peer_req;
-      peer_req.method = "GET";
-      peer_req.target = req.target;
-      peer_req.headers.emplace_back("X-No-Forward", "1");
-      peer_req.headers.emplace_back("X-Requester-Port", std::to_string(port_));
-      CallOptions probe;
-      probe.deadline_seconds = cfg_.peer_deadline_seconds;
-      auto peer_resp = http_call(pool_, peer_port, peer_req, probe);
-      if (peer_resp && peer_resp->status == 200) {
-        record_peer_success(peer_port);
-        c_.sibling_hits.inc();
-        // The parsed body arrives as a shared buffer: the cache and the
-        // response reference the same bytes, no copy on either side.
-        store(*id, peer_resp->body.shared(), /*replace_existing=*/true,
-              /*pushed=*/false, ticket);
-        resp.body = std::move(peer_resp->body);
-        resp.headers.emplace_back("X-Cache", "SIBLING");
-        resp.headers.emplace_back("X-Served-By", cfg_.name);
-        return resp;
-      }
-      if (peer_resp) {
-        // The peer answered but no longer holds the object: a false
-        // positive, priced at one error round trip. The peer is healthy.
-        c_.false_positives.inc();
-        record_peer_success(peer_port);
-        hints_->erase(*id);
-      } else {
-        // Transport failure: counts toward quarantine. Keep the hint — the
-        // peer likely still holds the object when it rejoins.
-        c_.peer_failures.inc();
-        record_peer_failure(peer_port);
-      }
-    }
-    // Failed or quarantined: fall through to the origin — no further
-    // searching (do not slow down misses).
+  if (auto body = from_sibling(id, target, ticket)) {
+    return reply(Tier::kSibling, std::move(*body), cache_only);
   }
-
-  // 4. Origin server.
-  if (stopping_.load()) {
-    resp.status = 503;
-    resp.reason = "Shutting Down";
-    return resp;
+  if (stopping_.load()) return error_reply(503, "Shutting Down");
+  if (auto body = from_origin(id, target, ticket)) {
+    return reply(Tier::kOrigin, std::move(*body), cache_only);
   }
+  return error_reply(502, "Bad Gateway");
+}
+
+// 2. Disk: a RAM miss can still be a node hit. The body is read through the
+// store's checksummed get_body; one that fails its checksum is dropped and
+// the request falls through as a miss, so a corrupt file is never served
+// to a client or a peer. A RAM-sized body is promoted back into RAM; a
+// larger one is served from the verified buffer and not re-put, which
+// would only rewrite the same file.
+std::optional<cache::Body> ProxyServer::from_disk(ObjectId id,
+                                                  FillTicket ticket) {
+  if (!disk_) return std::nullopt;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::optional<cache::Body> body = disk_->get_body(id);
+  if (!body) {
+    c_.disk_misses.inc();
+    return std::nullopt;
+  }
+  if (body->size() <= cache_.max_object_bytes()) {
+    store(id, body->shared(), Fill::kPromoted, ticket);
+    c_.disk_promotions.inc();
+    promote_ms_.record(ms_since(t0));
+  }
+  return body;
+}
+
+// 3. A direct cache-to-cache transfer from the peer the local hint cache
+// names: single-shot with a tight dedicated deadline — a dead peer costs
+// one bounded round trip, never a full socket timeout, and a quarantined
+// peer costs nothing. A failure falls through to the origin with no
+// further searching (do not slow down misses).
+std::optional<cache::Body> ProxyServer::from_sibling(
+    ObjectId id, const std::string& target, FillTicket ticket) {
+  const std::optional<MachineId> hint = hints_->lookup(id);
+  if (!hint || stopping_.load()) return std::nullopt;
+  const auto peer_port = static_cast<std::uint16_t>(hint->value);
+  if (!peer_usable(peer_port)) {
+    c_.quarantine_skips.inc();
+    return std::nullopt;
+  }
+  HttpRequest peer_req;
+  peer_req.method = "GET";
+  peer_req.target = target;
+  peer_req.headers.emplace_back("X-No-Forward", "1");
+  peer_req.headers.emplace_back("X-Requester-Port", std::to_string(port_));
+  CallOptions probe;
+  probe.deadline_seconds = cfg_.peer_deadline_seconds;
+  auto peer_resp = http_call(pool_, peer_port, peer_req, probe);
+  if (!peer_resp) {
+    // Transport failure: counts toward quarantine. Keep the hint — the
+    // peer likely still holds the object when it rejoins.
+    c_.peer_failures.inc();
+    record_peer_failure(peer_port);
+    return std::nullopt;
+  }
+  record_peer_success(peer_port);
+  if (peer_resp->status != 200) {
+    // The peer answered but no longer holds the object: a false positive,
+    // priced at one error round trip. The peer is healthy.
+    c_.false_positives.inc();
+    hints_->erase(id);
+    return std::nullopt;
+  }
+  // The parsed body arrives as a shared buffer: the cache and the response
+  // reference the same bytes, no copy on either side.
+  store(id, peer_resp->body.shared(), Fill::kFetched, ticket);
+  return std::move(peer_resp->body);
+}
+
+// 4. The origin server, with its own single-shot budget.
+std::optional<cache::Body> ProxyServer::from_origin(
+    ObjectId id, const std::string& target, FillTicket ticket) {
   HttpRequest origin_req;
   origin_req.method = "GET";
-  origin_req.target = req.target;
+  origin_req.target = target;
   CallOptions origin_opts;
   origin_opts.deadline_seconds = cfg_.origin_deadline_seconds;
-  auto origin_resp = http_call(pool_, cfg_.origin_port, origin_req,
-                               origin_opts);
+  auto origin_resp =
+      http_call(pool_, cfg_.origin_port, origin_req, origin_opts);
   if (!origin_resp || origin_resp->status != 200) {
     c_.origin_failures.inc();
-    resp.status = 502;
-    resp.reason = "Bad Gateway";
-    return resp;
+    return std::nullopt;
   }
-  c_.origin_fetches.inc();
-  store(*id, origin_resp->body.shared(), /*replace_existing=*/true,
-        /*pushed=*/false, ticket);
-  resp.body = std::move(origin_resp->body);
-  resp.headers.emplace_back("X-Cache", "MISS");
+  store(id, origin_resp->body.shared(), Fill::kFetched, ticket);
+  return std::move(origin_resp->body);
+}
+
+HttpResponse ProxyServer::reply(Tier tier, cache::Body body, bool cache_only) {
+  // A probe is only ever served from a local tier, and sees a plain HIT.
+  const char* x_cache = "HIT";
+  switch (tier) {
+    case Tier::kDisk:
+      c_.disk_hits.inc();
+      if (!cache_only) x_cache = "DISK";
+      [[fallthrough]];
+    case Tier::kRam:
+      (cache_only ? c_.peer_serves : c_.local_hits).inc();
+      break;
+    case Tier::kSibling:
+      c_.sibling_hits.inc();
+      x_cache = "SIBLING";
+      break;
+    case Tier::kOrigin:
+      c_.origin_fetches.inc();
+      x_cache = "MISS";
+      break;
+  }
+  HttpResponse resp;
+  resp.body = std::move(body);
+  resp.headers.emplace_back("X-Cache", x_cache);
   resp.headers.emplace_back("X-Served-By", cfg_.name);
   return resp;
 }
@@ -616,16 +608,8 @@ ProxyServer::FillTicket ProxyServer::fill_ticket() const {
   return FillTicket{cache_.ticket(), disk_ ? disk_->ticket() : 0};
 }
 
-void ProxyServer::store(ObjectId id, cache::BodyPtr body,
-                        bool replace_existing, bool pushed,
+void ProxyServer::store(ObjectId id, cache::BodyPtr body, Fill fill,
                         FillTicket ticket) {
-  store_internal(id, std::move(body), replace_existing, pushed,
-                 /*advertise=*/true, ticket);
-}
-
-void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
-                                 bool replace_existing, bool pushed,
-                                 bool advertise, FillTicket ticket) {
   if (!body) body = std::make_shared<const std::string>();
 
   // Objects too large for any RAM shard go straight to the disk tier (an
@@ -634,7 +618,7 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
     const auto t0 = std::chrono::steady_clock::now();
     const bool ok = disk_->put(id, *body, /*version=*/1, ticket.disk);
     demote_ms_.record(ms_since(t0));
-    if (ok && advertise) {
+    if (ok && fill != Fill::kPromoted) {
       std::lock_guard lock(queue_mu_);
       queue_update_locked(proto::Action::kInform, id, self(), MachineId{0});
     }
@@ -655,7 +639,8 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
   };
   std::vector<Demotion> demote;
   const auto outcome = cache_.insert(
-      id, std::move(body), /*version=*/1, pushed, replace_existing,
+      id, std::move(body), /*version=*/1, /*pushed=*/fill == Fill::kPushed,
+      /*replace_existing=*/fill != Fill::kPushed,
       [this, &demote](const cache::LruCache::Entry& victim,
                       cache::BodyPtr victim_body) {
         if (disk_) {
@@ -668,7 +653,7 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
       },
       ticket.ram);
   if (outcome == cache::ShardedLruCache::InsertOutcome::kInserted &&
-      advertise) {
+      fill != Fill::kPromoted) {
     std::lock_guard lock(queue_mu_);
     queue_update_locked(proto::Action::kInform, id, self(), MachineId{0});
   }
@@ -714,14 +699,9 @@ void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
 // ---------------------------------------------------------------------------
 
 HttpResponse ProxyServer::handle_updates(const HttpRequest& req) {
-  HttpResponse resp;
   const auto updates = proto::decode_body(std::span(
       reinterpret_cast<const std::uint8_t*>(req.body.data()), req.body.size()));
-  if (!updates) {
-    resp.status = 400;
-    resp.reason = "Bad Batch";
-    return resp;
-  }
+  if (!updates) return error_reply(400, "Bad Batch");
   MachineId from{0};
   if (auto f = req.header("X-From")) {
     if (auto port = parse_port(*f)) from = MachineId{*port};
@@ -740,27 +720,20 @@ HttpResponse ProxyServer::handle_updates(const HttpRequest& req) {
     std::vector<ObjectId> ids;
     ids.reserve(updates->size());
     for (const proto::HintUpdate& u : *updates) ids.push_back(u.object);
-    using Decision = hints::HintStore::BatchDecision;
+    using Decision = hints::StripedHintStore::BatchDecision;
     hints_->apply_batch(
         ids, [&](std::size_t i, std::optional<MachineId> cur) -> Decision {
           const proto::HintUpdate& u = (*updates)[i];
           if (u.location == self()) return Decision::keep();
           switch (u.action) {
-            case proto::Action::kInform: {
-              // Keep the nearest known copy; without a distance oracle the
-              // first hint wins.
-              bool replace = !cur.has_value();
-              if (cur && cfg_.distance) {
-                replace = cfg_.distance(u.location.value) <
-                          cfg_.distance(cur->value);
+            case proto::Action::kInform:
+              if (nearer_than_hint(u.location, cur)) {
+                return Decision::insert_loc(u.location);
               }
-              if (replace) return Decision::insert_loc(u.location);
               break;
-            }
-            case proto::Action::kInvalidate: {
+            case proto::Action::kInvalidate:
               if (cur && *cur == u.location) return Decision::erase_hint();
               break;
-            }
           }
           return Decision::keep();
         });
@@ -785,8 +758,7 @@ HttpResponse ProxyServer::handle_updates(const HttpRequest& req) {
     }
     enqueue_pending_locked({u, from, next_hops});
   }
-  resp.body = "ok";
-  return resp;
+  return text_reply("ok");
 }
 
 void ProxyServer::add_hint_neighbor(std::uint16_t port) {
@@ -800,18 +772,13 @@ std::vector<std::uint16_t> ProxyServer::neighbor_ports() const {
 }
 
 HttpResponse ProxyServer::handle_push(const HttpRequest& req) {
-  HttpResponse resp;
   const auto id = object_from_path(req.path());
-  if (!id) {
-    resp.status = 404;
-    resp.reason = "Not Found";
-    return resp;
-  }
+  if (!id) return error_reply(404, "Not Found");
   c_.pushes_received.inc();
   // A push never displaces an existing copy's recency semantics: if we
-  // already cache the object, keep ours (replace_existing = false).
-  store(*id, std::make_shared<const std::string>(req.body),
-        /*replace_existing=*/false, /*pushed=*/true, fill_ticket());
+  // already cache the object, keep ours.
+  store(*id, std::make_shared<const std::string>(req.body), Fill::kPushed,
+        fill_ticket());
   // The supplier names every other daemon it pushed the same copy to:
   // seed a hint for the nearest sibling copy immediately instead of
   // waiting a hint-batch round trip. A malformed header is ignored (the
@@ -821,17 +788,19 @@ HttpResponse ProxyServer::handle_push(const HttpRequest& req) {
       for (const std::uint16_t p : *ports) {
         if (p == port_ || p == 0) continue;
         const MachineId loc{p};
-        const auto cur = hints_->lookup(*id);
-        bool replace = !cur.has_value();
-        if (cur && cfg_.distance) {
-          replace = cfg_.distance(loc.value) < cfg_.distance(cur->value);
+        if (nearer_than_hint(loc, hints_->lookup(*id))) {
+          hints_->insert(*id, loc);
         }
-        if (replace) hints_->insert(*id, loc);
       }
     }
   }
-  resp.body = "ok";
-  return resp;
+  return text_reply("ok");
+}
+
+bool ProxyServer::nearer_than_hint(MachineId loc,
+                                   std::optional<MachineId> cur) const {
+  if (!cur) return true;
+  return cfg_.distance && cfg_.distance(loc.value) < cfg_.distance(cur->value);
 }
 
 HttpResponse ProxyServer::handle_metrics(const HttpRequest& req) {

@@ -1,14 +1,15 @@
 // The hint-enabled proxy cache daemon — the library's analogue of the
 // paper's modified Squid (Section 3.2), over real TCP.
 //
-// Each daemon owns an in-memory object cache (LRU, byte-capacity) and the
-// prototype's 16-byte-record hint cache. Client GETs are served locally when
-// possible; otherwise the local hint cache names a peer for a direct
-// cache-to-cache fetch (the peer replies 404 rather than forwarding — a
-// false positive costs one error round trip, exactly the simulated
-// behaviour); otherwise the daemon fetches from the origin. Hint updates
-// (inform on insert, invalidate on eviction) accumulate and are POSTed in
-// the prototype's 20-byte-per-update batches to the configured neighbours.
+// Each daemon owns an in-memory object cache (LRU, byte-capacity), an
+// optional disk tier, and the prototype's 16-byte-record hint cache. A
+// client GET runs one tier sequence (serve_tiers): RAM, then disk, then the
+// peer the local hint cache names, for one direct cache-to-cache fetch (the
+// peer replies 404 rather than forwarding — a false positive costs one
+// error round trip, exactly the simulated behaviour), then the origin.
+// Hint updates (inform on insert, invalidate on eviction) accumulate and
+// are POSTed in the prototype's 20-byte-per-update batches to the
+// configured neighbours.
 //
 // Threading model (the paper makes the *local* cache operation the common
 // case; this layer makes it scale to many cores):
@@ -62,8 +63,9 @@
 // deduplicated through a bounded seen-set, so update storms cannot occur in
 // cyclic neighbour graphs.
 //
-// Peer responses advertise "X-Cache: HIT | SIBLING | MISS" so callers (and
-// the tests) can observe exactly which path served them.
+// Responses advertise "X-Cache: HIT | DISK | SIBLING | MISS" (a probe sees
+// HIT for either local tier) so callers and the tests can observe exactly
+// which tier served them.
 #pragma once
 
 #include <atomic>
@@ -303,16 +305,28 @@ class ProxyServer {
   void flusher_loop();
   void dispatch_request(std::uint64_t token, HttpRequest req);
   HttpResponse handle(const HttpRequest& req);
-  // The one RAM-hit path, called on the loop thread by dispatch_request and
-  // on a worker by handle_get: a hit's response with its counters, headers
-  // and (client GETs) its request_ms sample measured from `t0`; nullopt on a
-  // miss, with nothing counted.
-  std::optional<HttpResponse> serve_ram_hit(
-      ObjectId id, bool cache_only, std::chrono::steady_clock::time_point t0);
+  // A GET on a worker: counts and times a client request around
+  // serve_tiers, and lets a probe served from a local tier push onward.
   HttpResponse handle_get(const HttpRequest& req);
-  // Steps 1b-4 of a GET once RAM missed: disk, hinted peer, origin.
-  HttpResponse handle_ram_miss(const HttpRequest& req,
-                               std::optional<ObjectId> id, bool cache_only);
+
+  enum class Tier { kRam, kDisk, kSibling, kOrigin };  // serve_tiers' order
+  // The paper's lookup order: RAM, disk, the hinted sibling (one direct
+  // probe, never forwarded), the origin. A probe (`cache_only`) stops after
+  // the local tiers with 404 Not Cached. Each tier below does its own
+  // failure accounting and its own fill, and returns nullopt on a miss.
+  HttpResponse serve_tiers(ObjectId id, const std::string& target,
+                           bool cache_only);
+  std::optional<cache::Body> from_disk(ObjectId id, FillTicket ticket);
+  std::optional<cache::Body> from_sibling(ObjectId id,
+                                          const std::string& target,
+                                          FillTicket ticket);
+  std::optional<cache::Body> from_origin(ObjectId id,
+                                         const std::string& target,
+                                         FillTicket ticket);
+  // The one reply for a served body, loop and workers alike: its X-Cache
+  // and X-Served-By headers and its tier's counters.
+  HttpResponse reply(Tier tier, cache::Body body, bool cache_only);
+
   HttpResponse handle_updates(const HttpRequest& req);
   HttpResponse handle_push(const HttpRequest& req);
   HttpResponse handle_metrics(const HttpRequest& req);
@@ -322,21 +336,24 @@ class ProxyServer {
   // new copies immediately.
   void push_to_peers(ObjectId id, const cache::Body& body,
                      std::uint16_t requester_port);
+  // Whether a copy at `loc` should replace the current hint: keep the
+  // nearest known copy; without a distance oracle the first hint wins.
+  bool nearer_than_hint(MachineId loc, std::optional<MachineId> cur) const;
 
-  // Stores a fetched/pushed body in the sharded cache, queueing the inform
-  // for a new entry and invalidations for every eviction. Safe to call with
-  // no locks held; takes the shard lock, then (from the eviction callback
-  // and for the inform) the queue lock — the one sanctioned nesting. With a
-  // disk tier, eviction victims are collected under the shard lock and
-  // demoted after it is released — disk I/O never runs under a shard lock.
-  // The body is a shared buffer: storing a fetched response keeps the same
-  // bytes the response will transmit, no copy.
-  void store(ObjectId id, cache::BodyPtr body, bool replace_existing,
-             bool pushed, FillTicket ticket);
-  // `advertise = false` suppresses the inform: promotions bring back an
-  // object the node never stopped holding, so peers learned nothing new.
-  void store_internal(ObjectId id, cache::BodyPtr body, bool replace_existing,
-                      bool pushed, bool advertise, FillTicket ticket);
+  // kFetched (origin, sibling) replaces any copy and advertises a new one;
+  // kPromoted (disk to RAM) replaces but never advertises: the node never
+  // stopped holding the object. kPushed keeps an existing copy.
+  enum class Fill { kFetched, kPromoted, kPushed };
+  // Stores a body in the sharded cache, queueing the inform for a new entry
+  // and invalidations for every eviction. Safe to call with no locks held;
+  // takes the shard lock, then (from the eviction callback and for the
+  // inform) the queue lock — the one sanctioned nesting. With a disk tier,
+  // a body too large for RAM goes straight to disk, and eviction victims
+  // are collected under the shard lock and demoted after it is released —
+  // disk I/O never runs under a shard lock. The body is a shared buffer:
+  // storing a fetched response keeps the same bytes the response will
+  // transmit, no copy.
+  void store(ObjectId id, cache::BodyPtr body, Fill fill, FillTicket ticket);
   // Hands the victim to the disk tier's background writer, carrying the
   // disk ticket read when it was evicted. If the demotion is shed, cancelled
   // by an invalidation, or the write fails, the object has left the node, so
@@ -396,7 +413,7 @@ class ProxyServer {
 
   // --- data path: internally lock-striped, no daemon-wide lock ---
   cache::ShardedLruCache cache_;
-  std::unique_ptr<hints::HintStore> hints_;  // striped front: thread-safe
+  std::unique_ptr<hints::StripedHintStore> hints_;  // thread-safe
   // L2 spill tier (null when disabled). Lock order: its internal mutex may
   // be taken before queue_mu_ (the disk evict callback queues a hint
   // invalidation), never the reverse; it is never taken under a shard lock.

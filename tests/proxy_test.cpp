@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -616,6 +617,46 @@ TEST(ProxyServerTest, PushOnPeerFetchSeedsOtherNeighbors) {
   EXPECT_EQ(origin.requests_served(), 1u);
 }
 
+TEST(ProxyServerTest, PushOnPeerFetchFromDiskSeedsOtherNeighbors) {
+  // Same as above, but the supplier answers the probe from its disk tier:
+  // a local-tier hit pushes whichever tier served it.
+  OriginServer origin;
+  ProxyConfig base;
+  base.origin_port = origin.port();
+  ProxyConfig cs = base;
+  cs.name = "supplier";
+  cs.push_policy = "push-all";
+  cs.capacity_bytes = 400;  // one 300-byte object at a time in RAM
+  cs.disk_path = fresh_state_dir("push_disk");
+  cs.disk_fsync = false;
+  ProxyServer s(cs);
+  ProxyConfig cr = base;
+  cr.name = "requester";
+  ProxyServer r(cr);
+  ProxyConfig ct = base;
+  ct.name = "bystander";
+  ProxyServer t(ct);
+  s.add_hint_neighbor(r.port());
+  s.add_hint_neighbor(t.port());
+  r.add_hint_neighbor(s.port());
+
+  const ObjectId demoted{53}, resident{54};
+  fetch(s.port(), demoted, 300);
+  fetch(s.port(), resident, 300);  // demotes `demoted` to s's disk
+  s.disk()->drain_async();
+  ASSERT_TRUE(s.disk()->contains(demoted));
+  s.flush_hints();  // requester + bystander learn both hints
+
+  EXPECT_EQ(fetch(r.port(), demoted, 300).cache, "SIBLING");
+  EXPECT_EQ(counter(s, "disk.hits"), 1u);
+  EXPECT_EQ(counter(s, "pushes_sent"), 1u);
+  EXPECT_EQ(counter(t, "pushes_received"), 1u);
+  const FetchResult seeded = fetch(t.port(), demoted, 300);
+  EXPECT_EQ(seeded.cache, "HIT");
+  EXPECT_EQ(seeded.body, origin_body(demoted, 1, 300));
+  EXPECT_EQ(origin.requests_served(), 2u);
+}
+
 TEST(ProxyServerTest, PushPolicyOneSeedsExactlyOneBystander) {
   OriginServer origin;
   ProxyConfig base;
@@ -1110,12 +1151,17 @@ TEST(ProxyInlineHitTest, RamHitDoesNotWaitForBusyWorker) {
 }
 
 TEST(ProxyInlineHitTest, CountersMoveOncePerRequest) {
-  // The inline path and the worker path share one RAM-hit helper: a hit
-  // counts once, and a miss (looked up on the loop, then again on the
-  // worker) counts once too.
+  // The inline path and the worker path share one reply: a hit counts
+  // once, and a miss (looked up on the loop, then again on the worker)
+  // counts once too. Every GET for an object moves exactly its tier's
+  // counters; a client GET also moves `requests` and `request_ms` by one, a
+  // probe `peer_serves` instead, and a GET for a non-object path nothing.
   OriginServer origin;
   ProxyConfig cfg;
   cfg.origin_port = origin.port();
+  cfg.capacity_bytes = 400;  // one 300-byte object at a time in RAM
+  cfg.disk_path = fresh_state_dir("counters");
+  cfg.disk_fsync = false;
   ProxyServer proxy(cfg);
   const auto request_ms_count = [&proxy] {
     const obs::MetricsSnapshot snap = proxy.metrics_snapshot();
@@ -1161,6 +1207,71 @@ TEST(ProxyInlineHitTest, CountersMoveOncePerRequest) {
   EXPECT_EQ(moved("requests"), 0u);
   EXPECT_EQ(moved("peer_serves"), 1u);
   EXPECT_EQ(request_ms_count() - samples, 0u);
+
+  // Runs `get` and checks that exactly the named counters moved, by one,
+  // and whether it left a request_ms sample.
+  const auto expect_moves = [&](const std::function<void()>& get,
+                                std::vector<std::string> want, bool timed) {
+    before = proxy.metrics_snapshot();
+    samples = request_ms_count();
+    get();
+    after = proxy.metrics_snapshot();
+    for (const std::string name :
+         {"requests", "local_hits", "disk.hits", "sibling_hits",
+          "origin_fetches", "peer_serves"}) {
+      const bool named =
+          std::find(want.begin(), want.end(), name) != want.end();
+      EXPECT_EQ(moved(name), named ? 1u : 0u) << name;
+    }
+    EXPECT_EQ(request_ms_count() - samples, timed ? 1u : 0u);
+  };
+
+  // A GET for a path that names no object: a plain 404, untimed.
+  expect_moves(
+      [&] {
+        HttpRequest bad;
+        bad.method = "GET";
+        bad.target = "/x";
+        const auto r = http_call(proxy.port(), bad);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, 404);
+      },
+      {}, false);
+
+  // A DISK hit: `big1` was demoted when `big2` filled RAM.
+  const ObjectId big1{94}, big2{95};
+  ASSERT_EQ(fetch(proxy.port(), big1, 300).cache, "MISS");
+  ASSERT_EQ(fetch(proxy.port(), big2, 300).cache, "MISS");
+  proxy.disk()->drain_async();
+  expect_moves(
+      [&] { EXPECT_EQ(fetch(proxy.port(), big1, 300).cache, "DISK"); },
+      {"requests", "local_hits", "disk.hits"}, true);
+
+  // A SIBLING hit: the hint names a peer that holds the object.
+  ProxyConfig pc;
+  pc.name = "peer";
+  pc.origin_port = origin.port();
+  ProxyServer peer(pc);
+  const ObjectId shared{96};
+  ASSERT_EQ(fetch(peer.port(), shared, 64).cache, "MISS");
+  post_update(proxy.port(), proto::Action::kInform, shared, peer.port());
+  expect_moves(
+      [&] { EXPECT_EQ(fetch(proxy.port(), shared, 64).cache, "SIBLING"); },
+      {"requests", "sibling_hits"}, true);
+
+  // A probe served from disk (`big2`, demoted by big1's promotion): a peer
+  // serve, untimed.
+  proxy.disk()->drain_async();
+  expect_moves(
+      [&] {
+        HttpRequest disk_probe = probe;
+        disk_probe.target = object_path(big2, 300);
+        const auto r = http_call(proxy.port(), disk_probe);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, 200);
+        EXPECT_EQ(r->header("X-Cache").value_or(""), "HIT");
+      },
+      {"disk.hits", "peer_serves"}, false);
 }
 
 TEST(ProxyStaleFillTest, InvalidationDuringFillIsNotCached) {
